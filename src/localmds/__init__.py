@@ -8,15 +8,11 @@ harness with a CLI.
 """
 from .composition import (
     BConfig,
-    BoundedColoring,
     BRunResult,
-    ColoringCheck,
     ControlFunction,
     ErrorSetReport,
     UniformSubAlgorithm,
     algorithm_b,
-    check_b_uniformity,
-    check_bounded_coloring,
     detection_algorithm,
     error_set,
     linear_control,
@@ -28,7 +24,6 @@ from .composition import (
 )
 from .domination import (
     DEFAULT_BUDGET,
-    DominationCertificate,
     all_minimum_dominating_sets,
     best_minimum_dominating_set,
     mds_size,
@@ -52,7 +47,6 @@ from .graph import (
     components,
     distances,
     neighborhood,
-    power_graph,
     ranked_form,
     read_edge_list,
     read_vertex_set,
@@ -81,7 +75,7 @@ from .nomination import (
     check_uniformity,
     validate_nominations,
 )
-from .planarity import PLANAR, ClassPredicate, hereditary_spot_check, is_planar
+from .planarity import PLANAR, ClassPredicate, is_planar
 from .runtime import LocalAlgorithm, RoundLedger, run_by_messages, run_by_views
 
 __version__ = "0.1.0"

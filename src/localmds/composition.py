@@ -16,17 +16,12 @@ combined detection/filter phase (detection and the sub-algorithm run in
 parallel; detection dominates) and delta+1 for repair, where delta is the
 largest weak diameter of a component of the distance-2 neighborhood of the
 error set: T + delta + 2 in total.
-
-This module also ships the checker for bounded colorings of graph powers,
-the machinery that justifies the composition's ratio; the algorithm itself
-never consumes a coloring.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from .domination import DEFAULT_BUDGET, minimum_dominating_set, _vertex_set
 from .errors import InputError, InvariantError
@@ -39,7 +34,7 @@ from .graph import (
     weak_diameter,
 )
 from .nomination import ALPHA, K_UNIFORM, ROUNDS, algorithm_a
-from .planarity import ClassPredicate, is_planar
+from .planarity import ClassPredicate
 from .runtime import LocalAlgorithm, RoundLedger, run_by_views
 
 
@@ -131,17 +126,15 @@ class ErrorSetReport:
 
 
 @lru_cache(maxsize=65536)
-def _planar_ranked(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    return is_planar(LabeledGraph.from_edges(n, edges))
+def _holds_ranked(predicate: ClassPredicate, n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    return predicate.test(LabeledGraph.from_edges(n, edges))
 
 
 def _predicate_holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
-    # Planarity is isomorphism-invariant, so verdicts are cached on the
-    # order-preserving compact form; other predicates run directly.
-    if predicate.test is is_planar:
-        labels, edges = ranked_form(h)
-        return _planar_ranked(len(labels), edges)
-    return predicate.test(h)
+    # Class predicates are isomorphism-invariant, so verdicts are cached on
+    # the order-preserving compact form of the view.
+    labels, edges = ranked_form(h)
+    return _holds_ranked(predicate, len(labels), edges)
 
 
 def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorithm:
@@ -238,64 +231,3 @@ def algorithm_b(g: LabeledGraph, cfg: BConfig, *, budget: int = DEFAULT_BUDGET) 
     repaired = repair_step(g, filtered, report.errors, budget=budget)
     ledger = RoundLedger(view_collection=report.radius + 1, repair=report.delta + 1)
     return BRunResult(filtered | repaired, report, filtered, repaired, ledger)
-
-
-@dataclass(frozen=True)
-class BoundedColoring:
-    """A coloring of `colored` whose monochromatic components should stay
-    within weak diameter `bound` measured in `host`."""
-
-    colors: Mapping[int, int]
-    host: LabeledGraph
-    colored: LabeledGraph
-    num_colors: int
-    bound: int
-
-
-@dataclass(frozen=True)
-class ColoringCheck:
-    ok: bool
-    worst_color: int | None
-    worst_component: VertexSet | None
-    worst_weak_diameter: int
-
-
-def check_bounded_coloring(c: BoundedColoring) -> ColoringCheck:
-    """Verify the weak-diameter bound; report the extremal component.
-
-    The extremal component is the violating one when the check fails and
-    the widest one otherwise.
-    """
-    if c.host.labels != c.colored.labels:
-        raise InputError("host and colored graphs must share one vertex set")
-    if c.num_colors < 1 or c.bound < 0:
-        raise InputError("need num_colors >= 1 and bound >= 0")
-    for v in c.colored.labels:
-        if v not in c.colors:
-            raise InputError(f"vertex {v} has no color")
-        if not 0 <= c.colors[v] < c.num_colors:
-            raise InputError(f"color {c.colors[v]} of vertex {v} out of range")
-    worst = ColoringCheck(True, None, None, 0)
-    for color in range(c.num_colors):
-        cls = frozenset(v for v in c.colored.labels if c.colors[v] == color)
-        for comp in components(c.colored, cls):
-            wd = weak_diameter(c.host, comp)
-            if wd > worst.worst_weak_diameter or worst.worst_color is None:
-                worst = ColoringCheck(wd <= c.bound, color, comp, wd)
-    return ColoringCheck(worst.worst_weak_diameter <= c.bound, worst.worst_color, worst.worst_component, worst.worst_weak_diameter)
-
-
-def check_b_uniformity(
-    g: LabeledGraph,
-    result: BRunResult,
-    s: VertexSet,
-    cfg: BConfig,
-    *,
-    budget: int = DEFAULT_BUDGET,
-):
-    """Uniformity check of a composition run at its claimed ratio."""
-    from .nomination import check_uniformity
-
-    return check_uniformity(
-        g, result.output, s, cfg.sub.k, Fraction(cfg.claimed_ratio), budget=budget
-    )

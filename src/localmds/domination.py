@@ -11,24 +11,12 @@ all returned optima have equal size, so no prefix issue arises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EnumerationBudgetError, InputError, InvariantError
 from .graph import LabeledGraph, VertexSet
 
 DEFAULT_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class DominationCertificate:
-    """A claimed dominating set together with the set it claims to cover."""
-
-    chosen: VertexSet
-    target: VertexSet
-
-    def holds_in(self, g: LabeledGraph) -> bool:
-        return verify_domination(g, self.chosen, self.target)
 
 
 def _vertex_set(g: LabeledGraph, s: Iterable[int], name: str) -> VertexSet:
@@ -215,8 +203,10 @@ def all_minimum_dominating_sets(
 ) -> list[VertexSet]:
     """Every minimum dominating set of `target`, canonically sorted.
 
-    `budget` caps the number of enumerated optima (they can be exponential);
-    exceeding it raises EnumerationBudgetError rather than truncating.
+    `budget` caps search nodes, in the size search and again in the
+    enumeration; every optimum is a leaf node, so it also caps their
+    number. Exceeding it raises EnumerationBudgetError rather than
+    truncating.
     """
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
@@ -224,18 +214,21 @@ def all_minimum_dominating_sets(
         return [frozenset()]
     m, _ = _solve(inst, budget)
     found: list[VertexSet] = []
+    nodes = 0
 
     # Partition the solution space by the first chosen dominator of the
     # branch vertex: branch i keeps dominator i and bans dominators 0..i-1,
     # so every optimal set is produced exactly once.
     def enum(covered: int, chosen: list[int], banned: frozenset[int]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise EnumerationBudgetError(f"enumeration search exceeded {budget} nodes")
         rem = inst.target_mask & ~covered
         if not rem:
             if len(chosen) != m:
                 raise InvariantError("enumeration found a cover smaller than the optimum")
             found.append(inst.to_labels(chosen))
-            if len(found) > budget:
-                raise EnumerationBudgetError(f"more than {budget} minimum dominating sets")
             return
         slots = m - len(chosen)
         if slots == 0:

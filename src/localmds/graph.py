@@ -11,7 +11,6 @@ concurrent read-only use.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -140,9 +139,15 @@ class BallView:
         return self.subgraph.labels
 
 
-def _bounded_distances(g: LabeledGraph, source: int, radius: int | None) -> dict[int, int]:
-    dist = {source: 0}
-    frontier = [source]
+def _bfs(g: LabeledGraph, sources: Iterable[int], radius: int | None = None) -> dict[int, int]:
+    """Hop distance to the nearest source for every vertex within `radius`
+    of `sources` (every reachable vertex when `radius` is None)."""
+    dist = {}
+    for v in sources:
+        if v not in g:
+            raise InputError(f"unknown vertex {v!r}")
+        dist[v] = 0
+    frontier = list(dist)
     d = 0
     while frontier and (radius is None or d < radius):
         d += 1
@@ -158,18 +163,14 @@ def _bounded_distances(g: LabeledGraph, source: int, radius: int | None) -> dict
 
 def distances(g: LabeledGraph, source: int) -> dict[int, int]:
     """Hop distances from `source`; unreachable vertices are absent."""
-    if source not in g:
-        raise InputError(f"unknown source vertex {source!r}")
-    return _bounded_distances(g, source, None)
+    return _bfs(g, (source,))
 
 
 def ball(g: LabeledGraph, center: int, radius: int) -> BallView:
     """The radius-`radius` ball around `center`, as an induced view."""
-    if center not in g:
-        raise InputError(f"unknown center vertex {center!r}")
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
-    dist = _bounded_distances(g, center, radius)
+    dist = _bfs(g, (center,), radius)
     return BallView(center, radius, g.induced(dist), dist)
 
 
@@ -177,25 +178,7 @@ def neighborhood(g: LabeledGraph, seeds: Iterable[int], radius: int = 1) -> Vert
     """Every vertex within distance `radius` of the seed set (seeds included)."""
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
-    reach = set()
-    frontier = []
-    for v in seeds:
-        if v not in g:
-            raise InputError(f"unknown vertex {v!r}")
-        if v not in reach:
-            reach.add(v)
-            frontier.append(v)
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w not in reach:
-                    reach.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(reach)
+    return frozenset(_bfs(g, seeds, radius))
 
 
 def components(g: LabeledGraph, within: Iterable[int]) -> list[VertexSet]:
@@ -203,26 +186,14 @@ def components(g: LabeledGraph, within: Iterable[int]) -> list[VertexSet]:
 
     Returned in ascending order of smallest member.
     """
-    ws = frozenset(within)
-    for v in ws:
-        if v not in g:
-            raise InputError(f"unknown vertex {v!r}")
-    seen: set[int] = set()
+    h = g.induced(within)
     out: list[VertexSet] = []
-    for v in sorted(ws):
-        if v in seen:
-            continue
-        comp = {v}
-        seen.add(v)
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for w in g.neighbors(x):
-                if w in ws and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+    seen: set[int] = set()
+    for v in h.labels:
+        if v not in seen:
+            comp = frozenset(_bfs(h, (v,)))
+            seen |= comp
+            out.append(comp)
     return out
 
 
@@ -247,17 +218,6 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
             if dist[w] > best:
                 best = dist[w]
     return best
-
-
-def power_graph(g: LabeledGraph, r: int) -> LabeledGraph:
-    """The r-th power: same vertices, edges between all pairs at distance 1..r."""
-    if r < 1:
-        raise InputError(f"power must be >= 1, got {r}")
-    adj = {}
-    for v in g.labels:
-        reach = _bounded_distances(g, v, r)
-        adj[v] = set(reach) - {v}
-    return LabeledGraph(adj)
 
 
 def ranked_form(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:

@@ -1,17 +1,16 @@
 """Planarity decision and pluggable graph-class predicates.
 
-The fast tester applies the left-right planarity criterion over a DFS
-orientation (networkx's implementation); it answers the boolean only and
-never extracts an embedding, which is all this package needs. The test
-suite validates it against an independent slow search for complete and
+The tester is networkx's left-right planarity test over a DFS
+orientation. `check_planarity` builds a combinatorial embedding on every
+call, even though only the boolean verdict is used here. The test suite
+validates the tester against an independent slow search for complete and
 complete-bipartite subdivisions on small graphs.
 
 Class predicates are assumed to describe isomorphism-closed, hereditary
-graph classes; hereditarity is spot-checked, not enforced.
+graph classes; neither property is checked.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,31 +30,18 @@ def is_planar(g: LabeledGraph) -> bool:
 
 @dataclass(frozen=True)
 class ClassPredicate:
-    """Deterministic membership test for a hereditary graph class."""
+    """Deterministic membership test for a hereditary graph class.
+
+    The test must be isomorphism-invariant: the composition caches each
+    verdict under the order-preserving ranked form of the view it judged,
+    so isomorphic views share one answer.
+    """
 
     name: str
     test: Callable[[LabeledGraph], bool]
-    hereditary: bool = True
 
     def __call__(self, g: LabeledGraph) -> bool:
         return self.test(g)
 
 
 PLANAR = ClassPredicate("planar", is_planar)
-
-
-def hereditary_spot_check(
-    pred: ClassPredicate, g: LabeledGraph, *, samples: int = 8, seed: int = 0
-) -> bool:
-    """Spot-test hereditarity: membership must survive random vertex deletions.
-
-    Vacuously true when g itself is outside the class.
-    """
-    if not pred.test(g):
-        return True
-    rng = random.Random(seed)
-    for _ in range(samples):
-        keep = frozenset(v for v in g.labels if rng.random() < 0.7)
-        if not pred.test(g.induced(keep)):
-            return False
-    return True

@@ -1,9 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import complete_graph, cycle, grid, path
 from localmds import (
     BConfig,
-    BoundedColoring,
     ClassPredicate,
     GeneratorSpec,
     InputError,
@@ -11,8 +12,7 @@ from localmds import (
     PLANAR,
     algorithm_a,
     algorithm_b,
-    check_b_uniformity,
-    check_bounded_coloring,
+    check_uniformity,
     error_set,
     generate,
     linear_control,
@@ -21,7 +21,6 @@ from localmds import (
     neighborhood,
     parse_control,
     planar_nomination,
-    power_graph,
     repair_step,
     t_error_set,
     verify_domination,
@@ -243,7 +242,7 @@ class TestAlgorithmB:
             res = algorithm_b(g, CFG)
             for _ in range(5):
                 s = frozenset(v for v in g.labels if rng.random() < 0.5)
-                assert check_b_uniformity(g, res, s, CFG).holds
+                assert check_uniformity(g, res.output, s, CFG.sub.k, Fraction(CFG.claimed_ratio)).holds
 
     def test_delta_bound_on_known_genus_families(self):
         t = CFG.error_radius
@@ -257,6 +256,18 @@ class TestAlgorithmB:
             x = t_error_set(g, PLANAR, t)
             assert measure_delta(g, x) < genus_bound * (2 * t + 5)
 
+    def test_predicate_called_once_per_ranked_view(self):
+        # radius-15 views of path(40) fall into 16 ranked forms: the paths on 16..31 vertices
+        calls = []
+
+        def max_degree_two(h):
+            calls.append(h.n)
+            return all(h.degree(v) <= 2 for v in h.labels)
+
+        pred = ClassPredicate("max-degree-2 (counted)", max_degree_two)
+        assert t_error_set(path(40), pred, 15) == frozenset()
+        assert sorted(calls) == list(range(16, 32))
+
     def test_custom_predicate_composition(self):
         # the composition accepts any pluggable class predicate
         max_degree_two = ClassPredicate("max-degree-2", lambda h: all(h.degree(v) <= 2 for v in h.labels))
@@ -269,56 +280,3 @@ class TestAlgorithmB:
         res = algorithm_b(st, cfg)
         assert res.errors.errors
         assert verify_domination(st, res.output, st.labels)
-
-
-class TestBoundedColoring:
-    def test_proper_two_coloring_of_even_cycle(self):
-        g = cycle(8)
-        coloring = BoundedColoring(
-            colors={v: v % 2 for v in g.labels}, host=g, colored=g, num_colors=2, bound=0
-        )
-        chk = check_bounded_coloring(coloring)
-        assert chk.ok and chk.worst_weak_diameter == 0
-
-    @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_path_power_segment_coloring(self, r):
-        # alternating length-r segments keep power components r-1 wide
-        g = path(20)
-        colors = {v: (v // r) % 2 for v in g.labels}
-        power = power_graph(g, r)
-        good = BoundedColoring(colors=colors, host=g, colored=power, num_colors=2, bound=r - 1)
-        chk = check_bounded_coloring(good)
-        assert chk.ok and chk.worst_weak_diameter == r - 1
-        tight = BoundedColoring(colors=colors, host=g, colored=power, num_colors=2, bound=r - 2)
-        bad = check_bounded_coloring(tight)
-        assert not bad.ok
-        assert bad.worst_weak_diameter == r - 1
-        assert len(bad.worst_component) == r
-
-    def test_color_out_of_range(self):
-        g = path(3)
-        with pytest.raises(InputError):
-            check_bounded_coloring(
-                BoundedColoring(colors={0: 0, 1: 2, 2: 0}, host=g, colored=g, num_colors=2, bound=1)
-            )
-
-    def test_missing_color(self):
-        g = path(3)
-        with pytest.raises(InputError):
-            check_bounded_coloring(
-                BoundedColoring(colors={0: 0, 1: 0}, host=g, colored=g, num_colors=1, bound=5)
-            )
-
-    def test_mismatched_vertex_sets(self):
-        with pytest.raises(InputError):
-            check_bounded_coloring(
-                BoundedColoring(colors={}, host=path(3), colored=path(4), num_colors=1, bound=0)
-            )
-
-    def test_single_color_bounded_by_diameter(self):
-        g = path(6)
-        coloring = BoundedColoring(
-            colors={v: 0 for v in g.labels}, host=g, colored=g, num_colors=1, bound=5
-        )
-        chk = check_bounded_coloring(coloring)
-        assert chk.ok and chk.worst_weak_diameter == 5 and chk.worst_component == frozenset(g.labels)

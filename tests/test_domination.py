@@ -2,7 +2,6 @@ import pytest
 
 from conftest import complete_graph, cycle, grid, path, random_graph, star
 from localmds import (
-    DominationCertificate,
     EnumerationBudgetError,
     GeneratorSpec,
     InputError,
@@ -29,11 +28,6 @@ class TestVerifyDomination:
 
     def test_six_cycle_antipodal(self):
         assert verify_domination(cycle(6), {0, 3}, range(6))
-
-    def test_certificate(self):
-        g = star(4)
-        assert DominationCertificate(frozenset({0}), frozenset(g.labels)).holds_in(g)
-        assert not DominationCertificate(frozenset({1}), frozenset(g.labels)).holds_in(g)
 
     def test_membership_validated(self):
         with pytest.raises(InputError):
@@ -149,6 +143,13 @@ class TestAllMinimumDominatingSets:
         g = complete_graph(12)  # twelve singleton optima
         with pytest.raises(EnumerationBudgetError):
             all_minimum_dominating_sets(g, g.labels, budget=5)
+
+    def test_budget_caps_enumeration_nodes(self):
+        # the size search fits in 200 nodes; enumerating the 4 optima does not
+        g = grid(4, 8)
+        with pytest.raises(EnumerationBudgetError):
+            all_minimum_dominating_sets(g, g.labels, budget=200)
+        assert len(all_minimum_dominating_sets(g, g.labels, budget=2000)) == 4
 
 
 class TestBestMinimumDominatingSet:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import complete_graph, cycle, grid, path, random_graph, star
+from conftest import cycle, grid, path, random_graph, star
 from localmds import (
     InputError,
     LabeledGraph,
@@ -8,7 +8,6 @@ from localmds import (
     components,
     distances,
     neighborhood,
-    power_graph,
     ranked_form,
     read_edge_list,
     read_vertex_set,
@@ -190,26 +189,45 @@ class TestWeakDiameter:
             assert weak_diameter(g, s) <= diam
 
 
-class TestPowerGraph:
-    def test_power_one_is_identity(self, rng):
-        g = random_graph(12, 0.2, rng)
-        assert power_graph(g, 1) == g
+class TestAgainstEnumeration:
+    """The BFS-based primitives against distances from simple-path enumeration,
+    on small random graphs that are often disconnected."""
 
-    def test_p4_squared(self):
-        g = power_graph(path(4), 2)
-        assert set(g.edges()) == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
+    @staticmethod
+    def cases(rng):
+        for _ in range(12):
+            g = random_graph(rng.randrange(1, 10), rng.choice((0.1, 0.2, 0.4)), rng)
+            yield g, {v: enumerated_distances(g, v) for v in g.labels}
 
-    def test_six_cycle_cubed_is_complete(self):
-        assert power_graph(cycle(6), 3) == complete_graph(6)
+    def test_multi_source_neighborhood(self, rng):
+        for g, dist in self.cases(rng):
+            for r in range(4):
+                seeds = rng.sample(g.labels, rng.randrange(0, min(3, g.n) + 1))
+                expected = frozenset(w for s in seeds for w, d in dist[s].items() if d <= r)
+                assert neighborhood(g, seeds, r) == expected
 
-    def test_invalid_power(self):
-        with pytest.raises(InputError):
-            power_graph(path(3), 0)
+    def test_components_partition(self, rng):
+        for g, _ in self.cases(rng):
+            within = frozenset(v for v in g.labels if rng.random() < 0.7)
+            comps = components(g, within)
+            assert frozenset().union(*comps) == within
+            assert sum(len(c) for c in comps) == len(within)
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+            h = g.induced(within)
+            for c in comps:
+                assert frozenset(enumerated_distances(h, min(c))) == c
+            part = {v: i for i, c in enumerate(comps) for v in c}
+            assert all(part[u] == part[v] for u, v in h.edges())
 
-    def test_composition_on_paths_and_cycles(self):
-        for g in (path(10), cycle(11)):
-            for a, b in ((2, 2), (2, 3), (3, 2)):
-                assert power_graph(power_graph(g, a), b) == power_graph(g, a * b)
+    def test_weak_diameter(self, rng):
+        for g, dist in self.cases(rng):
+            s = frozenset(rng.sample(g.labels, rng.randrange(0, g.n + 1)))
+            if all(w in dist[v] for v in s for w in s):
+                expected = max((dist[v][w] for v in s for w in s), default=0)
+                assert weak_diameter(g, s) == expected
+            else:
+                with pytest.raises(InputError):
+                    weak_diameter(g, s)
 
 
 class TestRankedForm:

@@ -1,11 +1,9 @@
-from conftest import complete_bipartite, complete_graph, cycle, grid, path, random_graph
+from conftest import complete_bipartite, complete_graph, grid, path, random_graph
 from localmds import (
-    ClassPredicate,
     GeneratorSpec,
     LabeledGraph,
     PLANAR,
     generate,
-    hereditary_spot_check,
     is_planar,
 )
 from reference import planar_by_subdivisions
@@ -83,18 +81,5 @@ class TestProperties:
 class TestClassPredicate:
     def test_planar_predicate(self):
         assert PLANAR.name == "planar"
-        assert PLANAR.hereditary
         assert PLANAR(grid(3, 3))
         assert not PLANAR(complete_graph(5))
-
-    def test_spot_check_passes_for_planarity(self, rng):
-        for _ in range(5):
-            g = random_graph(14, 0.25, rng)
-            assert hereditary_spot_check(PLANAR, g, seed=rng.randrange(10**6))
-
-    def test_spot_check_catches_non_hereditary_predicate(self):
-        bogus = ClassPredicate("even-order", lambda g: g.n % 2 == 0)
-        assert not hereditary_spot_check(bogus, cycle(6), samples=64, seed=1)
-
-    def test_spot_check_vacuous_outside_class(self):
-        assert hereditary_spot_check(PLANAR, complete_graph(5))
