@@ -199,9 +199,8 @@ def repair_step(
         return frozenset()
     if not uncovered <= neighborhood(g, errors, 1):
         raise InvariantError("uncovered vertices stray beyond the error neighborhood")
-    comps, _ = _error_components(g, errors)
     out: set[int] = set()
-    for comp in comps:
+    for comp in components(g, neighborhood(g, errors, 2)):
         local_target = uncovered & comp
         if not local_target:
             continue

@@ -1,10 +1,15 @@
 """Exact subset-domination oracles.
 
-All searches here are exact: they return provably optimal answers or raise
+All answers here are exact: they are provably optimal or the query raises
 :class:`EnumerationBudgetError`; nothing is ever silently truncated. The
 candidate pool is restricted to the closed neighborhood of the target,
 which loses nothing: a vertex outside N[target] covers no target vertex,
 so no minimum dominating set of the target can contain one.
+
+Every query runs one iterative branch and bound, `_search`: below a
+greedy cover for the size, at the optimum size for the enumeration, and as
+a feasibility test on each prefix for the best set. `budget` caps the
+search nodes of one whole query.
 
 Sets are compared lexicographically by their ascending label sequences;
 all returned optima have equal size, so no prefix issue arises.
@@ -48,31 +53,36 @@ def _bits(mask: int):
 class _Instance:
     """Bitmask view of one subset-domination instance."""
 
-    __slots__ = ("labels", "pos", "closed", "target_mask", "cands", "cover", "max_cover", "dominators")
+    __slots__ = ("labels", "target_mask", "cands", "cover")
 
     def __init__(self, g: LabeledGraph, target: VertexSet):
         self.labels = g.labels
-        self.pos = {v: i for i, v in enumerate(self.labels)}
-        closed = []
-        for v in self.labels:
-            m = 1 << self.pos[v]
-            for w in g.neighbors(v):
-                m |= 1 << self.pos[w]
-            closed.append(m)
-        self.closed = closed
+        pos = {v: i for i, v in enumerate(self.labels)}
         tmask = 0
         for v in target:
-            tmask |= 1 << self.pos[v]
+            tmask |= 1 << pos[v]
         self.target_mask = tmask
-        self.cands = [i for i in range(len(self.labels)) if closed[i] & tmask]
-        self.cover = {i: closed[i] & tmask for i in self.cands}
-        self.max_cover = max((c.bit_count() for c in self.cover.values()), default=1)
-        # Candidates per target vertex, best static coverage first; ties by label rank.
-        order = sorted(self.cands, key=lambda i: (-self.cover[i].bit_count(), i))
-        self.dominators = {b: [i for i in order if self.cover[i] >> b & 1] for b in _bits(tmask)}
+        self.cover: dict[int, int] = {}
+        for i, v in enumerate(self.labels):
+            m = 1 << i
+            for w in g.neighbors(v):
+                m |= 1 << pos[w]
+            if m & tmask:
+                self.cover[i] = m & tmask
+        self.cands = list(self.cover)
 
     def to_labels(self, indices: Iterable[int]) -> VertexSet:
         return frozenset(self.labels[i] for i in indices)
+
+
+class _Nodes:
+    """Search nodes one query has used, against its budget."""
+
+    __slots__ = ("budget", "used")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.used = 0
 
 
 def _greedy(inst: _Instance) -> list[int]:
@@ -137,65 +147,94 @@ def _reduce(inst: _Instance) -> tuple[list[int], dict[int, int], int]:
     return cands, cover, tmask
 
 
-def _solve(inst: _Instance, node_budget: int) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum cover size plus one optimal solution (candidate indices).
+def _search(
+    cover: dict[int, int],
+    cands: list[int],
+    rem: int,
+    limit: int,
+    nodes: _Nodes,
+    found: list[tuple[int, ...]] | None = None,
+) -> tuple[int, ...] | None:
+    """Covers of `rem` by at most `limit` members of `cands`, depth first.
 
-    Branch and bound after lossless reductions: branch on an uncovered
-    target vertex with the fewest candidate dominators; prune with the
-    cover-count lower bound ceil(|uncovered| / best remaining coverage).
+    Branches on the uncovered vertex with the fewest dominators among
+    `cands` (counted once, up front; the lowest bit breaks ties). Child i
+    takes that vertex's dominator i and bans dominators 0..i-1, so the
+    children partition the covers below their parent. A node is pruned
+    when ceil(|uncovered| / best coverage) more members would exceed
+    `limit`.
+
+    Without `found`, returns the first strictly smallest cover met, or
+    None: each cover found lowers `limit` to one below its size. With
+    `found`, appends every cover of exactly `limit` members to it; `limit`
+    must then be the optimum.
     """
-    if inst.target_mask == 0:
-        return 0, ()
-    greedy = _greedy(inst)
-    cands, cover, tmask = _reduce(inst)
-    order = sorted(cands, key=lambda i: (-cover[i].bit_count(), i))
-    dominators = {b: [c for c in order if cover[c] >> b & 1] for b in _bits(tmask)}
-    best_size = len(greedy)
-    best_sol = tuple(greedy)
-    nodes = 0
-
-    def dfs(covered: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_sol, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise EnumerationBudgetError(f"minimum-cover search exceeded {node_budget} nodes")
-        rem = tmask & ~covered
+    ranked = sorted((-(cover[c] & rem).bit_count(), c) for c in cands if cover[c] & rem)
+    order = [c for _, c in ranked]
+    masks = [cover[c] for c in order]
+    sizes = [-s for s, _ in ranked]
+    dominators: dict[int, list[int]] = {b: [] for b in _bits(rem)}
+    for c, m in zip(order, masks):
+        for b in _bits(m & rem):
+            dominators[b].append(c)
+    degree = {b: len(d) for b, d in dominators.items()}
+    best = None
+    stack = [(rem, (), 0)]  # (uncovered, chosen, banned candidates as a mask)
+    while stack:
+        rem, chosen, banned = stack.pop()
+        count = len(chosen)
+        nodes.used += 1
+        if nodes.used > nodes.budget:
+            raise EnumerationBudgetError(f"exact search exceeded {nodes.budget} nodes")
         if not rem:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_sol = tuple(chosen)
-            return
-        best_gain = 0
-        for c in cands:
-            gain = (cover[c] & rem).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-        need = -(-rem.bit_count() // best_gain)
-        if len(chosen) + need >= best_size:
-            return
-        b = min(_bits(rem), key=lambda bb: len(dominators[bb]))
+            if count > limit:
+                continue  # pushed before `limit` tightened
+            if found is None:
+                best, limit = chosen, count - 1
+            elif count < limit:
+                raise InvariantError("enumeration found a cover smaller than the optimum")
+            else:
+                found.append(chosen)
+            continue
+        gain = 0
+        for m, size in zip(masks, sizes):
+            if size <= gain:
+                break  # `order` is by static coverage, which bounds every later gain
+            g = (m & rem).bit_count()
+            if g > gain:
+                gain = g
+        if not gain or count - (-rem.bit_count() // gain) > limit:
+            continue
+        b = min(_bits(rem), key=degree.__getitem__)
+        children = []
         for c in dominators[b]:
-            chosen.append(c)
-            dfs(covered | cover[c], chosen)
-            chosen.pop()
+            if not banned >> c & 1:
+                children.append((rem & ~cover[c], chosen + (c,), banned))
+                banned |= 1 << c
+        stack.extend(reversed(children))
+    return best
 
-    dfs(0, [])
-    return best_size, best_sol
+
+def _solve(inst: _Instance, nodes: _Nodes) -> tuple[int, ...]:
+    """One minimum cover (candidate indices): greedy, reductions, then the
+    search for anything strictly smaller than the greedy cover."""
+    greedy = tuple(_greedy(inst))
+    cands, cover, tmask = _reduce(inst)
+    best = _search(cover, cands, tmask, len(greedy) - 1, nodes)
+    return greedy if best is None else best
 
 
 def mds_size(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum number of vertices of g whose closed neighborhoods cover `target`."""
     target = _vertex_set(g, target, "target")
-    size, _ = _solve(_Instance(g, target), budget)
-    return size
+    return len(_solve(_Instance(g, target), _Nodes(budget)))
 
 
 def minimum_dominating_set(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> VertexSet:
     """One exact minimum dominating set of `target`; deterministic for fixed inputs."""
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
-    _, sol = _solve(inst, budget)
-    return inst.to_labels(sol)
+    return inst.to_labels(_solve(inst, _Nodes(budget)))
 
 
 def all_minimum_dominating_sets(
@@ -203,49 +242,16 @@ def all_minimum_dominating_sets(
 ) -> list[VertexSet]:
     """Every minimum dominating set of `target`, canonically sorted.
 
-    `budget` caps search nodes, in the size search and again in the
-    enumeration; every optimum is a leaf node, so it also caps their
-    number. Exceeding it raises EnumerationBudgetError rather than
-    truncating.
+    `budget` caps the search nodes of the size search and the enumeration
+    together; every optimum is a leaf node, so it also caps their number.
+    Exceeding it raises EnumerationBudgetError rather than truncating.
     """
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
-    if inst.target_mask == 0:
-        return [frozenset()]
-    m, _ = _solve(inst, budget)
-    found: list[VertexSet] = []
-    nodes = 0
-
-    # Partition the solution space by the first chosen dominator of the
-    # branch vertex: branch i keeps dominator i and bans dominators 0..i-1,
-    # so every optimal set is produced exactly once.
-    def enum(covered: int, chosen: list[int], banned: frozenset[int]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise EnumerationBudgetError(f"enumeration search exceeded {budget} nodes")
-        rem = inst.target_mask & ~covered
-        if not rem:
-            if len(chosen) != m:
-                raise InvariantError("enumeration found a cover smaller than the optimum")
-            found.append(inst.to_labels(chosen))
-            return
-        slots = m - len(chosen)
-        if slots == 0:
-            return
-        if -(-rem.bit_count() // inst.max_cover) > slots:
-            return
-        doms_by_bit = {b: [c for c in inst.dominators[b] if c not in banned] for b in _bits(rem)}
-        b = min(doms_by_bit, key=lambda bb: len(doms_by_bit[bb]))
-        tried: set[int] = set()
-        for c in doms_by_bit[b]:
-            chosen.append(c)
-            enum(covered | inst.cover[c], chosen, banned | tried | {c})
-            chosen.pop()
-            tried.add(c)
-
-    enum(0, [], frozenset())
-    return sorted(found, key=sorted)
+    nodes = _Nodes(budget)
+    found: list[tuple[int, ...]] = []
+    _search(inst.cover, inst.cands, inst.target_mask, len(_solve(inst, nodes)), nodes, found)
+    return sorted((inst.to_labels(s) for s in found), key=sorted)
 
 
 def strictly_dominated(g: LabeledGraph, within: Iterable[int] | None = None) -> VertexSet:
@@ -287,48 +293,33 @@ def best_minimum_dominating_set(
     which vertices participate in the strict-containment comparison (used
     by callers whose views have truncated boundary neighborhoods).
 
-    Found by branch and bound in lexicographic order over non-discarded
-    candidates, which is equivalent to enumerate-then-filter but does not
-    pay for the full enumeration; `budget` caps search nodes.
+    Built in label order over non-discarded candidates: each is kept iff
+    it covers something still uncovered and the search can finish an
+    optimum from later candidates. This equals enumerate-then-filter
+    without the full enumeration; `budget` caps search nodes.
     """
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
-    if inst.target_mask == 0:
-        return frozenset()
-    m, _ = _solve(inst, budget)
+    nodes = _Nodes(budget)
+    m = len(_solve(inst, nodes))
     discard = strictly_dominated(g, within=compare)
     allowed = [c for c in inst.cands if inst.labels[c] not in discard]
     cover = inst.cover
     suffix = [0] * (len(allowed) + 1)
     for p in range(len(allowed) - 1, -1, -1):
         suffix[p] = suffix[p + 1] | cover[allowed[p]]
-    max_cover = max((cover[c].bit_count() for c in allowed), default=1)
-    nodes = 0
-
-    def dfs(start: int, covered: int, count: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise EnumerationBudgetError(f"best-set search exceeded {budget} nodes")
-        rem = inst.target_mask & ~covered
+    chosen: list[int] = []
+    rem = inst.target_mask
+    for p, c in enumerate(allowed):
+        rest = rem & ~cover[c]
+        if rest == rem or rest & ~suffix[p + 1]:
+            continue
+        if rest and _search(cover, allowed[p + 1 :], rest, m - len(chosen) - 1, nodes) is None:
+            continue
+        chosen.append(c)
+        rem = rest
         if not rem:
-            return ()
-        if count == m:
-            return None
-        if rem & ~suffix[start]:
-            return None
-        if -(-rem.bit_count() // max_cover) > m - count:
-            return None
-        for p in range(start, len(allowed)):
-            c = allowed[p]
-            if not cover[c] & rem:
-                continue  # would be redundant in any completion; no optimum contains it
-            sub = dfs(p + 1, covered | cover[c], count + 1)
-            if sub is not None:
-                return (c,) + sub
-        return None
-
-    sol = dfs(0, 0, 0)
-    if sol is None or len(sol) != m:
+            break
+    if rem or len(chosen) != m:
         raise InvariantError("no minimum dominating set avoids all strictly dominated vertices")
-    return inst.to_labels(sol)
+    return inst.to_labels(chosen)

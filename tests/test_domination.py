@@ -6,6 +6,7 @@ from localmds import (
     GeneratorSpec,
     InputError,
     all_minimum_dominating_sets,
+    ball,
     best_minimum_dominating_set,
     generate,
     mds_size,
@@ -174,18 +175,18 @@ class TestBestMinimumDominatingSet:
             assert not best & strictly_dominated(g)
 
     def test_equals_enumerate_filter_lexmin(self, rng):
-        # dual route: full enumeration, discard, lexicographic minimum
+        # two more routes: the enumeration, and power-set exhaustion, which
+        # shares no code with the search; discard, then lexicographic minimum
         for _ in range(20):
             n = rng.randrange(1, 11)
             g = random_graph(n, rng.uniform(0.15, 0.5), rng)
             target = frozenset(v for v in g.labels if rng.random() < 0.8)
             discard = strictly_dominated(g)
-            survivors = [
-                s for s in all_minimum_dominating_sets(g, target) if not s & discard
-            ]
-            assert survivors, "a discard-free optimum must exist"
-            expected = min(survivors, key=sorted)
-            assert best_minimum_dominating_set(g, target) == expected
+            best = best_minimum_dominating_set(g, target)
+            for optima in (all_minimum_dominating_sets(g, target), exhaustive_all_mds(g, target)):
+                survivors = [s for s in optima if not s & discard]
+                assert survivors, "a discard-free optimum must exist"
+                assert best == min(survivors, key=sorted)
 
     def test_replacement_argument(self, rng):
         # swapping a strictly dominated member for its dominator keeps optimality
@@ -219,6 +220,16 @@ class TestBestMinimumDominatingSet:
         g = grid(5, 5)
         with pytest.raises(EnumerationBudgetError):
             best_minimum_dominating_set(g, g.labels, budget=3)
+
+    def test_triangulation_view_within_default_budget(self):
+        # vertex 0's view of this triangulation once exhausted the default budget
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1))
+        view = ball(g, 0, 4)
+        near = frozenset(v for v, d in view.dist.items() if d <= 3)
+        best = best_minimum_dominating_set(view.subgraph, near, compare=near)
+        assert verify_domination(view.subgraph, best, near)
+        assert len(best) == mds_size(view.subgraph, near)
+        assert not best & strictly_dominated(view.subgraph, near)
 
 
 def test_neighborhood_oracle_consistency(rng):
