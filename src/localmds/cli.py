@@ -22,7 +22,6 @@ from .domination import (
     DEFAULT_BUDGET,
     all_minimum_dominating_sets,
     best_minimum_dominating_set,
-    mds_size,
     minimum_dominating_set,
     verify_domination,
 )
@@ -101,8 +100,8 @@ def _cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
     target = read_vertex_set(args.target) if args.target else frozenset(g.labels)
     payload: dict = {"n": g.n, "target_size": len(target)}
-    payload["mds_size"] = mds_size(g, target, budget=args.budget)
     payload["minimum"] = sorted(minimum_dominating_set(g, target, budget=args.budget))
+    payload["mds_size"] = len(payload["minimum"])
     if args.best:
         payload["best"] = sorted(best_minimum_dominating_set(g, target, budget=args.budget))
     if args.all:
@@ -163,7 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=302)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--oracle-max-n", type=int, default=25)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="search-node cap for B's repair searches and the optimum oracle; A's searches keep the default",
+    )
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_run)
 
@@ -172,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--best", action="store_true", help="also report the best minimum set")
     p.add_argument("--all", action="store_true", help="also enumerate every minimum set")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node cap for each query")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify", help="verify domination and/or planarity")

@@ -50,6 +50,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _closed_masks(g: LabeledGraph) -> tuple[dict[int, int], list[int]]:
+    """Each label's position in g.labels, and each position's N[v] as a bitmask."""
+    pos = {v: i for i, v in enumerate(g.labels)}
+    return pos, [sum(1 << pos[w] for w in g.closed_neighborhood(v)) for v in g.labels]
+
+
 class _Instance:
     """Bitmask view of one subset-domination instance."""
 
@@ -57,18 +63,9 @@ class _Instance:
 
     def __init__(self, g: LabeledGraph, target: VertexSet):
         self.labels = g.labels
-        pos = {v: i for i, v in enumerate(self.labels)}
-        tmask = 0
-        for v in target:
-            tmask |= 1 << pos[v]
-        self.target_mask = tmask
-        self.cover: dict[int, int] = {}
-        for i, v in enumerate(self.labels):
-            m = 1 << i
-            for w in g.neighbors(v):
-                m |= 1 << pos[w]
-            if m & tmask:
-                self.cover[i] = m & tmask
+        pos, closed = _closed_masks(g)
+        self.target_mask = tmask = sum(1 << pos[v] for v in target)
+        self.cover = {i: m & tmask for i, m in enumerate(closed) if m & tmask}
         self.cands = list(self.cover)
 
     def to_labels(self, indices: Iterable[int]) -> VertexSet:
@@ -100,51 +97,51 @@ def _greedy(inst: _Instance) -> list[int]:
     return chosen
 
 
+def _common(sets: dict[int, int] | list[int], members: int, everyone: int) -> int:
+    """Keys in `everyone` holding every member: the AND of each member e's holder mask sets[e]."""
+    for e in _bits(members):
+        everyone &= sets[e]
+    return everyone
+
+
 def _reduce(inst: _Instance) -> tuple[list[int], dict[int, int], int]:
     """Standard lossless set-cover reductions for size/witness search.
 
     Drops a target vertex whose coverer set contains another's (covering
     the harder vertex covers it for free) and a candidate whose coverage is
     contained in another's (the container can always stand in for it).
-    Neither changes the optimum size, and any witness over the reduced
-    instance dominates the full target. Enumeration never uses this.
+    Ties keep the lower index, so a pass drops exactly the non-minimal
+    elements of one strict order, whatever order it visits them in. Only
+    sets sharing a member are compared: a set's containers are the common
+    holders of its members. Neither rule changes the optimum size, and any
+    witness over the reduced instance dominates the full target.
+    Enumeration never uses this.
     """
     cands = list(inst.cands)
     cover = dict(inst.cover)
     tmask = inst.target_mask
-    changed = True
-    while changed:
-        changed = False
-        coverers = {b: 0 for b in _bits(tmask)}
-        for ci, c in enumerate(cands):
-            for b in _bits(cover[c] & tmask):
-                coverers[b] |= 1 << ci
-        bits = sorted(coverers)
-        for b in bits:
-            if not tmask >> b & 1:
-                continue
-            for b2 in bits:
-                if b2 == b or not tmask >> b2 & 1:
-                    continue
-                sup, sub = coverers[b], coverers[b2]
-                if sub | sup == sup and (sub != sup or b2 < b):
-                    tmask &= ~(1 << b)
-                    changed = True
-                    break
+    while True:
+        coverers = dict.fromkeys(_bits(tmask), 0)
+        everyone = 0
+        for c in cands:
+            everyone |= 1 << c
+            for b in _bits(cover[c]):
+                coverers[b] |= 1 << c
+        before = tmask
+        for b, who in coverers.items():
+            for b2 in _bits(_common(cover, who, tmask) & ~(1 << b)):
+                if coverers[b2] != who or b < b2:
+                    tmask &= ~(1 << b2)
         kept = []
         for c in cands:
             cv = cover[c] & tmask
-            if any(
-                (cv | (cover[d] & tmask) == cover[d] & tmask) and (cv != cover[d] & tmask or d < c)
-                for d in cands
-                if d != c
-            ):
-                changed = True
-                continue
-            kept.append(c)
+            holders = _common(coverers, cv, everyone) & ~(1 << c)
+            if not any(d < c or cover[d] & tmask != cv for d in _bits(holders)):
+                kept.append(c)
+        if tmask == before and len(kept) == len(cands):
+            return cands, cover, tmask
         cands = kept
         cover = {c: cover[c] & tmask for c in cands}
-    return cands, cover, tmask
 
 
 def _search(
@@ -258,19 +255,18 @@ def strictly_dominated(g: LabeledGraph, within: Iterable[int] | None = None) -> 
     """Vertices v with some w such that N[v] is strictly contained in N[w].
 
     When `within` is given, both v and w range over it only; by default
-    they range over the whole graph.
+    they range over the whole graph. N[v] lies inside N[w] exactly when w
+    is in N[u] for every u in N[v]: v's containers are the common holders
+    of N[v]'s members, so only vertices within distance 2 are compared.
     """
-    scope = sorted(_vertex_set(g, within, "within")) if within is not None else list(g.labels)
-    closed = {v: g.closed_neighborhood(v) for v in scope}
-    out = set()
-    for v in scope:
-        cv = closed[v]
-        for w in scope:
-            cw = closed[w]
-            if cv != cw and cv <= cw:
-                out.add(v)
-                break
-    return frozenset(out)
+    pos, closed = _closed_masks(g)
+    scope = _vertex_set(g, within, "within") if within is not None else g.labels
+    everyone = sum(1 << pos[v] for v in scope)
+    return frozenset(
+        g.labels[v]
+        for v in _bits(everyone)
+        if any(closed[w] != closed[v] for w in _bits(_common(closed, closed[v], everyone)))
+    )
 
 
 def best_minimum_dominating_set(

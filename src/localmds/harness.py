@@ -101,9 +101,10 @@ def distance3_lower_bound(g: LabeledGraph) -> int:
 
 
 def error_category(exc: BaseException) -> str:
+    """`resource` if a budget, the recursion limit or memory ran out anywhere in the cause chain."""
     seen: BaseException | None = exc
     while seen is not None:
-        if isinstance(seen, EnumerationBudgetError):
+        if isinstance(seen, (EnumerationBudgetError, RecursionError, MemoryError)):
             return "resource"
         seen = seen.__cause__
     if isinstance(exc, InputError):
@@ -131,7 +132,12 @@ def run_cell(
     oracle_max_n: int = 25,
     budget: int = DEFAULT_BUDGET,
 ) -> RunReport:
-    """Run one algorithm on one graph; failures land in the report row."""
+    """Run one algorithm on one graph; failures land in the report row.
+
+    `budget` caps the nodes of each of B's repair searches and of the
+    optimum oracle, not A's per-view searches (also in B's sub-run): those
+    keep DEFAULT_BUDGET, because their results are cached per ranked view.
+    """
     alg = str(alg_config.get("alg", ""))
     config = {k: v for k, v in alg_config.items() if k != "alg"}
     report = RunReport(graph=dict(descriptor, n=g.n, m=g.m), algorithm=alg, config=config)

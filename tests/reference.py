@@ -1,7 +1,8 @@
 """Slow independent reference oracles used only by the test suite.
 
 These deliberately share no code path with the package: power-set
-exhaustion for domination, simple-path enumeration for distances, and a
+exhaustion for domination, pairwise comparison for strict neighborhood
+containment, simple-path enumeration for distances, and a
 subdivision search (complete graph on five vertices, or complete bipartite
 3x3) for planarity. Keep instances small; everything here is exponential.
 """
@@ -45,6 +46,14 @@ def exhaustive_all_mds(g: LabeledGraph, target) -> set[frozenset[int]]:
         if hits:
             return hits
     raise AssertionError("unreachable")
+
+
+def strictly_dominated_by_pairs(g: LabeledGraph, within=None) -> frozenset[int]:
+    """Vertices v of the scope with some w of the scope such that N[v] is a
+    proper subset of N[w], by comparing every pair."""
+    scope = set(g.labels) if within is None else set(within)
+    closed = {v: set(g.neighbors(v)) | {v} for v in g.labels}
+    return frozenset(v for v in scope if any(closed[v] < closed[w] for w in scope))
 
 
 def enumerated_distances(g: LabeledGraph, source: int) -> dict[int, int]:

@@ -15,7 +15,7 @@ from localmds import (
     strictly_dominated,
     verify_domination,
 )
-from reference import exhaustive_all_mds, exhaustive_mds_size
+from reference import exhaustive_all_mds, exhaustive_mds_size, strictly_dominated_by_pairs
 
 
 class TestVerifyDomination:
@@ -230,6 +230,40 @@ class TestBestMinimumDominatingSet:
         assert verify_domination(view.subgraph, best, near)
         assert len(best) == mds_size(view.subgraph, near)
         assert not best & strictly_dominated(view.subgraph, near)
+
+
+class TestStrictlyDominated:
+    def test_matches_pairwise_definition(self, rng):
+        for _ in range(200):
+            n = rng.randrange(1, 31)
+            g = random_graph(n, rng.uniform(0.05, 0.5), rng)
+            within = None
+            if rng.random() < 0.8:
+                within = frozenset(rng.sample(g.labels, rng.randrange(n + 1)))
+            assert strictly_dominated(g, within) == strictly_dominated_by_pairs(g, within)
+
+
+class TestPinnedWitnesses:
+    """Witnesses recorded before the reductions were rewritten: the reduced
+    instances, and so the search that follows, must stay the same."""
+
+    def test_generated_graphs(self):
+        cases = [
+            ("grid", {"rows": 3, "cols": 4}, [3, 4, 5, 10]),
+            ("toroidalGrid", {"rows": 5, "cols": 5}, [0, 7, 14, 16, 23]),
+            ("toroidalGrid", {"rows": 7, "cols": 7}, [0, 1, 2, 11, 16, 20, 25, 28, 29, 34, 38, 47]),
+        ]
+        for family, params, witness in cases:
+            g = generate(GeneratorSpec(family, params))
+            assert sorted(minimum_dominating_set(g, g.labels)) == witness
+
+    def test_triangulation_view_partial_target(self):
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 200}, seed=1))
+        view = ball(g, 0, 3)
+        near = frozenset(v for v, d in view.dist.items() if d <= 2)
+        assert (view.subgraph.n, len(near)) == (171, 110)
+        got = minimum_dominating_set(view.subgraph, near)
+        assert sorted(got) == [0, 1, 2, 3, 5, 16, 28, 29, 30, 62]
 
 
 def test_neighborhood_oracle_consistency(rng):

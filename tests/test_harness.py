@@ -4,7 +4,10 @@ import pytest
 
 from conftest import cycle, grid, path, random_graph
 from localmds import (
+    EnumerationBudgetError,
     GeneratorSpec,
+    InputError,
+    RuleError,
     RunReport,
     distance3_lower_bound,
     experiment,
@@ -14,6 +17,7 @@ from localmds import (
     verify_domination,
     write_csv,
 )
+from localmds.harness import error_category
 
 SUITE = {
     "oracle_max_n": 25,
@@ -72,6 +76,24 @@ class TestRunCell:
         g = grid(5, 5)
         report = run_cell(g, {}, {"alg": "A"}, budget=2)
         assert report.status == "resource"
+        # the budget caps the optimum oracle, never A's per-view searches
+        report = run_cell(g, {}, {"alg": "A"}, budget=2, oracle_max_n=0)
+        assert report.status == "ok"
+
+
+class TestErrorCategory:
+    def test_resource_failures(self):
+        for exc in (EnumerationBudgetError("x"), RecursionError("depth"), MemoryError()):
+            assert error_category(exc) == "resource"
+            # the way runtime._apply wraps a failing rule
+            wrapped = RuleError(0, str(exc))
+            wrapped.__cause__ = exc
+            assert error_category(wrapped) == "resource"
+
+    def test_other_categories(self):
+        assert error_category(InputError("x")) == "input"
+        assert error_category(RuleError(0, "x")) == "internal"
+        assert error_category(ValueError("x")) == "unexpected"
 
 
 class TestExperiment:
