@@ -75,11 +75,13 @@ class _Instance:
 class _Nodes:
     """Search nodes one query has used, against its budget."""
 
-    __slots__ = ("budget", "used")
+    __slots__ = ("budget", "used", "query", "targets")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, query: str, targets: int):
         self.budget = budget
         self.used = 0
+        self.query = query  # the public function, named in a budget error
+        self.targets = targets
 
 
 def _greedy(inst: _Instance) -> list[int]:
@@ -161,6 +163,15 @@ def _search(
     when ceil(|uncovered| / best coverage) more members would exceed
     `limit`.
 
+    A node costs a few mask operations, not a walk over every bit. The
+    set-up groups the vertices into one mask per dominator count, so the
+    branch vertex is the lowest bit of the first class meeting the
+    uncovered mask. The bound is a threshold, as ceil(r / g) <= s exactly
+    when g >= ceil(r / s): with r uncovered and s = `limit` - chosen, the
+    node survives iff a member covers ceil(r / s). Members are walked by
+    static coverage, which bounds their gain, up to the first one that
+    meets the threshold or is too small to.
+
     Without `found`, returns the first strictly smallest cover met, or
     None: each cover found lowers `limit` to one below its size. With
     `found`, appends every cover of exactly `limit` members to it; `limit`
@@ -174,7 +185,10 @@ def _search(
     for c, m in zip(order, masks):
         for b in _bits(m & rem):
             dominators[b].append(c)
-    degree = {b: len(d) for b, d in dominators.items()}
+    by_degree: dict[int, int] = {}
+    for b, d in dominators.items():
+        by_degree[len(d)] = by_degree.get(len(d), 0) | 1 << b
+    classes = [by_degree[k] for k in sorted(by_degree)]
     best = None
     stack = [(rem, (), 0)]  # (uncovered, chosen, banned candidates as a mask)
     while stack:
@@ -182,7 +196,10 @@ def _search(
         count = len(chosen)
         nodes.used += 1
         if nodes.used > nodes.budget:
-            raise EnumerationBudgetError(f"exact search exceeded {nodes.budget} nodes")
+            raise EnumerationBudgetError(
+                f"{nodes.query}: exact search exceeded {nodes.budget} nodes"
+                f" (target of {nodes.targets} vertices)"
+            )
         if not rem:
             if count > limit:
                 continue  # pushed before `limit` tightened
@@ -193,16 +210,21 @@ def _search(
             else:
                 found.append(chosen)
             continue
-        gain = 0
-        for m, size in zip(masks, sizes):
-            if size <= gain:
-                break  # `order` is by static coverage, which bounds every later gain
-            g = (m & rem).bit_count()
-            if g > gain:
-                gain = g
-        if not gain or count - (-rem.bit_count() // gain) > limit:
+        if count >= limit:
             continue
-        b = min(_bits(rem), key=degree.__getitem__)
+        need = -(-rem.bit_count() // (limit - count))
+        for m, size in zip(masks, sizes):
+            if size < need or (m & rem).bit_count() >= need:
+                break
+        else:
+            continue  # no member covers `need` uncovered vertices
+        if size < need:
+            continue  # no later member can either: static coverage bounds gain
+        for cls in classes:
+            low = rem & cls
+            if low:
+                break
+        b = (low & -low).bit_length() - 1
         children = []
         for c in dominators[b]:
             if not banned >> c & 1:
@@ -224,14 +246,14 @@ def _solve(inst: _Instance, nodes: _Nodes) -> tuple[int, ...]:
 def mds_size(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum number of vertices of g whose closed neighborhoods cover `target`."""
     target = _vertex_set(g, target, "target")
-    return len(_solve(_Instance(g, target), _Nodes(budget)))
+    return len(_solve(_Instance(g, target), _Nodes(budget, "mds_size", len(target))))
 
 
 def minimum_dominating_set(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> VertexSet:
     """One exact minimum dominating set of `target`; deterministic for fixed inputs."""
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
-    return inst.to_labels(_solve(inst, _Nodes(budget)))
+    return inst.to_labels(_solve(inst, _Nodes(budget, "minimum_dominating_set", len(target))))
 
 
 def all_minimum_dominating_sets(
@@ -245,7 +267,7 @@ def all_minimum_dominating_sets(
     """
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
-    nodes = _Nodes(budget)
+    nodes = _Nodes(budget, "all_minimum_dominating_sets", len(target))
     found: list[tuple[int, ...]] = []
     _search(inst.cover, inst.cands, inst.target_mask, len(_solve(inst, nodes)), nodes, found)
     return sorted((inst.to_labels(s) for s in found), key=sorted)
@@ -296,7 +318,7 @@ def best_minimum_dominating_set(
     """
     target = _vertex_set(g, target, "target")
     inst = _Instance(g, target)
-    nodes = _Nodes(budget)
+    nodes = _Nodes(budget, "best_minimum_dominating_set", len(target))
     m = len(_solve(inst, nodes))
     discard = strictly_dominated(g, within=compare)
     allowed = [c for c in inst.cands if inst.labels[c] not in discard]

@@ -3,10 +3,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from localmds import GeneratorSpec, LabeledGraph, generate
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic. Hypothesis still caches source
+# literals under `.hypothesis/constants/`, which .gitignore lists.
+settings.register_profile("localmds", derandomize=True, database=None, deadline=None, max_examples=300)
+settings.load_profile("localmds")
 
 
 def complete_graph(n: int) -> LabeledGraph:

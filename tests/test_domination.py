@@ -218,7 +218,8 @@ class TestBestMinimumDominatingSet:
 
     def test_budget_error(self):
         g = grid(5, 5)
-        with pytest.raises(EnumerationBudgetError):
+        message = r"^best_minimum_dominating_set: exact search exceeded 3 nodes \(target of 25 vertices\)$"
+        with pytest.raises(EnumerationBudgetError, match=message):
             best_minimum_dominating_set(g, g.labels, budget=3)
 
     def test_triangulation_view_within_default_budget(self):
@@ -264,6 +265,36 @@ class TestPinnedWitnesses:
         assert (view.subgraph.n, len(near)) == (171, 110)
         got = minimum_dominating_set(view.subgraph, near)
         assert sorted(got) == [0, 1, 2, 3, 5, 16, 28, 29, 30, 62]
+
+
+def _needs_exactly(nodes, query):
+    """`query(budget)` fits in `nodes` search nodes and not in one fewer."""
+    query(nodes)
+    with pytest.raises(EnumerationBudgetError):
+        query(nodes - 1)
+
+
+class TestPinnedNodeCounts:
+    """Exact search-node counts of one query per oracle. The search must
+    keep choosing the same branch vertices and prunes: any change to its
+    decisions moves these counts, even when the answers stay the same."""
+
+    def test_minimum_set_on_torus(self):
+        g = generate(GeneratorSpec("toroidalGrid", {"rows": 7, "cols": 7}))
+        _needs_exactly(27609, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
+
+    def test_enumeration_on_grid(self):
+        g = grid(4, 8)
+        _needs_exactly(1245, lambda budget: all_minimum_dominating_sets(g, g.labels, budget=budget))
+
+    def test_best_set_on_triangulation_view(self):
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1))
+        view = ball(g, 0, 4)
+        near = frozenset(v for v, d in view.dist.items() if d <= 3)
+        _needs_exactly(
+            3040,
+            lambda budget: best_minimum_dominating_set(view.subgraph, near, compare=near, budget=budget),
+        )
 
 
 def test_neighborhood_oracle_consistency(rng):
