@@ -126,15 +126,11 @@ class ErrorSetReport:
 
 
 @lru_cache(maxsize=65536)
-def _holds_ranked(predicate: ClassPredicate, n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    return predicate.test(LabeledGraph.from_edges(n, edges))
-
-
-def _predicate_holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
-    # Class predicates are isomorphism-invariant, so verdicts are cached on
-    # the order-preserving compact form of the view.
-    labels, edges = ranked_form(h)
-    return _holds_ranked(predicate, len(labels), edges)
+def _holds_ranked(predicate: ClassPredicate, n: int, edges: tuple[tuple[int, int], ...]) -> list[bool]:
+    # Class predicates are isomorphism-invariant, so one verdict serves every
+    # view with the same order-preserving compact form; the first such view
+    # fills this memo.
+    return []
 
 
 def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorithm:
@@ -143,7 +139,11 @@ def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorith
         raise InputError(f"detection radius must be >= 0, got {radius}")
 
     def rule(view) -> bool:
-        return not _predicate_holds(predicate, view.subgraph)
+        labels, edges = ranked_form(view.subgraph)
+        memo = _holds_ranked(predicate, len(labels), edges)
+        if not memo:
+            memo.append(predicate.test(view.subgraph))
+        return not memo[0]
 
     return LocalAlgorithm(f"errors[{predicate.name},r={radius}]", radius, rule)
 

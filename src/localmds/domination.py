@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import EnumerationBudgetError, InputError, InvariantError
-from .graph import LabeledGraph, VertexSet
+from .graph import LabeledGraph, VertexSet, neighborhood
 
 DEFAULT_BUDGET = 10**6
 
@@ -36,11 +36,7 @@ def verify_domination(g: LabeledGraph, chosen: Iterable[int], target: Iterable[i
     """True iff every target vertex lies in the closed neighborhood of `chosen`."""
     chosen = _vertex_set(g, chosen, "chosen")
     target = _vertex_set(g, target, "target")
-    covered: set[int] = set()
-    for v in chosen:
-        covered.add(v)
-        covered.update(g.neighbors(v))
-    return target <= covered
+    return target <= neighborhood(g, chosen, 1)
 
 
 def _bits(mask: int):

@@ -96,7 +96,8 @@ class LabeledGraph:
         return len(self.neighbors(v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as (u, v) with u < v, ascending."""
+        """All edges as (u, v) with u < v, by ascending u; each u's neighbors
+        come in set order, which depends on how the graph was built."""
         for v in self._labels:
             for w in self._adj[v]:
                 if v < w:
@@ -209,14 +210,17 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
             raise InputError(f"unknown vertex {v!r}")
     if len(ss) <= 1:
         return 0
-    best = 0
-    for v in ss:
-        dist = distances(g, v)
-        for w in ss:
-            if w not in dist:
-                raise InputError(f"vertices {v} and {w} lie in different components")
-            if dist[w] > best:
-                best = dist[w]
+    first, *rest = ss
+    dist = distances(g, first)
+    for w in ss:
+        if w not in dist:
+            raise InputError(f"vertices {first} and {w} lie in different components")
+    best = max(dist[w] for w in ss)
+    # every pair lies within 2 * best of each other, through `first`
+    reach = 2 * best
+    for v in rest:
+        dist = _bfs(g, (v,), reach)
+        best = max(best, max(dist[w] for w in ss))
     return best
 
 

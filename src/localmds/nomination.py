@@ -45,12 +45,11 @@ class NominationDecision:
 
 
 @lru_cache(maxsize=65536)
-def _best_ranked(n: int, edges: tuple[tuple[int, int], ...], target: tuple[int, ...]) -> tuple[int, ...]:
-    # Keyed on the order-preserving compaction of the view, so isomorphic
-    # views with identically ordered labels share one computation.
-    g = LabeledGraph.from_edges(n, edges)
-    t = frozenset(target)
-    return tuple(sorted(best_minimum_dominating_set(g, t, compare=t)))
+def _best_ranked(n: int, edges: tuple[tuple[int, int], ...], target: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # One memo per order-preserving compaction of a view: isomorphic views
+    # with identically ordered labels share one computation, made on the
+    # first such view and stored in ranks. A failed search leaves it empty.
+    return []
 
 
 def best_local_set(view: BallView) -> VertexSet:
@@ -60,9 +59,11 @@ def best_local_set(view: BallView) -> VertexSet:
     near = frozenset(v for v, d in view.dist.items() if d <= TARGET_RADIUS)
     labels, edges = ranked_form(view.subgraph)
     pos = {v: i for i, v in enumerate(labels)}
-    ranked_target = tuple(sorted(pos[v] for v in near))
-    ranked = _best_ranked(len(labels), edges, ranked_target)
-    return frozenset(labels[i] for i in ranked)
+    memo = _best_ranked(len(labels), edges, tuple(sorted(pos[v] for v in near)))
+    if not memo:
+        best = best_minimum_dominating_set(view.subgraph, near, compare=near)
+        memo.append(tuple(sorted(pos[v] for v in best)))
+    return frozenset(labels[i] for i in memo[0])
 
 
 def nomination_rule(view: BallView) -> NominationDecision:

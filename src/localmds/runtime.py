@@ -101,25 +101,11 @@ def _reconstruct_view(center: int, radius: int, edges: set[tuple[int, int]]) -> 
     """Rebuild the radius-`radius` view of `center` from known edges.
 
     After r exchange rounds a vertex knows every edge incident to its
-    radius-r ball, which is a superset of the ball's own edges; bounded BFS
-    over the known edges therefore recovers the exact induced ball.
+    radius-r ball, which is a superset of the ball's own edges; the ball of
+    the graph of known edges is therefore the exact induced ball.
     """
     adj: dict[int, set[int]] = {center: set()}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    dist = {center: 0}
-    frontier = [center]
-    for d in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    keep = set(dist)
-    sub = LabeledGraph({v: adj[v] & keep for v in keep})
-    return BallView(center, radius, sub, dist)
+    return ball(LabeledGraph(adj), center, radius)

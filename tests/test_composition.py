@@ -9,6 +9,7 @@ from localmds import (
     GeneratorSpec,
     InputError,
     InvariantError,
+    LabeledGraph,
     PLANAR,
     algorithm_a,
     algorithm_b,
@@ -256,17 +257,28 @@ class TestAlgorithmB:
             x = t_error_set(g, PLANAR, t)
             assert measure_delta(g, x) < genus_bound * (2 * t + 5)
 
-    def test_predicate_called_once_per_ranked_view(self):
+    def test_predicate_called_once_per_ranked_view(self, rng):
         # radius-15 views of path(40) fall into 16 ranked forms: the paths on 16..31 vertices
         calls = []
 
         def max_degree_two(h):
-            calls.append(h.n)
+            calls.append(h)
             return all(h.degree(v) <= 2 for v in h.labels)
 
         pred = ClassPredicate("max-degree-2 (counted)", max_degree_two)
-        assert t_error_set(path(40), pred, 15) == frozenset()
-        assert sorted(calls) == list(range(16, 32))
+        g = path(40)
+        assert t_error_set(g, pred, 15) == frozenset()
+        assert sorted(h.n for h in calls) == list(range(16, 32))
+        assert all(h == g.induced(h.labels) for h in calls)
+        # the predicate sees the executor's own views, host labels and all;
+        # path(40)'s first views are labelled 0..n-1 and cannot show that
+        perm = list(range(40))
+        rng.shuffle(perm)
+        g = LabeledGraph.from_edges(40, [tuple(sorted(perm[i : i + 2])) for i in range(39)])
+        calls.clear()
+        assert t_error_set(g, pred, 15) == frozenset()
+        assert all(h == g.induced(h.labels) for h in calls)
+        assert any(h.labels != tuple(range(h.n)) for h in calls)
 
     def test_custom_predicate_composition(self):
         # the composition accepts any pluggable class predicate

@@ -243,6 +243,14 @@ class TestRankedForm:
         assert labels == (2, 3, 4)
         assert edges == ((0, 1), (1, 2))
 
+    def test_independent_of_edge_order(self):
+        # 1 and 9 share a hash slot in a small set, so edges() follows the
+        # build order; the ranked form must not
+        g = LabeledGraph.from_edges(10, [(0, 1), (0, 9), (1, 2)])
+        h = LabeledGraph.from_edges(10, [(1, 2), (0, 9), (0, 1)])
+        assert g == h and list(g.edges()) != list(h.edges())
+        assert ranked_form(g) == ranked_form(h)
+
 
 class TestFileFormats:
     def test_edge_list_round_trip(self, tmp_path, rng):

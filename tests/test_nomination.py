@@ -12,6 +12,7 @@ from localmds import (
     algorithm_a,
     algorithm_a_run,
     ball,
+    best_minimum_dominating_set,
     check_uniformity,
     generate,
     mds_size,
@@ -104,9 +105,6 @@ class TestAlgorithmAProperties:
 
     def test_budget_propagates_with_center(self):
         g = grid(4, 4)
-        from localmds.nomination import _best_ranked
-
-        _best_ranked.cache_clear()
         with pytest.raises(RuleError) as info:
             from localmds import LocalAlgorithm, run_by_views
             from localmds.nomination import VIEW_RADIUS
@@ -120,6 +118,24 @@ class TestAlgorithmAProperties:
             run_by_views(g, LocalAlgorithm("tight", VIEW_RADIUS, tight_rule))
         assert isinstance(info.value.__cause__, EnumerationBudgetError)
         assert info.value.center == 0
+
+    def test_cache_misses_run_on_the_executors_view(self, monkeypatch):
+        # a miss searches the view the executor built, never a graph rebuilt
+        # from the ranked cache key
+        from localmds import nomination
+
+        seen = []
+
+        def recorder(h, *args, **kwargs):
+            seen.append(h)
+            return best_minimum_dominating_set(h, *args, **kwargs)
+
+        nomination._best_ranked.cache_clear()
+        monkeypatch.setattr(nomination, "best_minimum_dominating_set", recorder)
+        g = grid(6, 8)
+        assert verify_domination(g, algorithm_a(g), g.labels)
+        assert seen
+        assert all(h == g.induced(h.labels) for h in seen)
 
     def test_best_local_set_requires_radius_four(self):
         with pytest.raises(InputError):
