@@ -28,7 +28,9 @@ from .domination import (
 from .errors import InputError, LocalMdsError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import read_edge_list, read_vertex_set, write_edge_list
-from .harness import error_category, experiment, run_cell, write_csv
+from .composition import CONTROL, DIM
+from .harness import ORACLE_MAX_N, error_category, experiment, run_cell, write_csv
+from .nomination import ALPHA, K_UNIFORM
 from .planarity import is_planar
 
 
@@ -157,11 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an algorithm on a graph file")
     p.add_argument("--alg", required=True, choices=("A", "B"))
     p.add_argument("--graph", required=True)
-    p.add_argument("--control-fn", default="linear:1")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--alpha", type=int, default=302)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--oracle-max-n", type=int, default=25)
+    p.add_argument("--control-fn", default=CONTROL)
+    p.add_argument("--k", type=int, default=K_UNIFORM)
+    p.add_argument("--alpha", type=int, default=ALPHA)
+    p.add_argument("--dim", type=int, default=DIM)
+    p.add_argument("--oracle-max-n", type=int, default=ORACLE_MAX_N)
     p.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="search-node cap for B's repair searches and the optimum oracle; A's searches keep the default",

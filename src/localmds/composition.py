@@ -37,6 +37,9 @@ from .nomination import ALPHA, K_UNIFORM, ROUNDS, algorithm_a
 from .planarity import ClassPredicate
 from .runtime import LocalAlgorithm, RoundLedger, run_by_views
 
+CONTROL = "linear:1"  # B's default control function, as parse_control reads it
+DIM = 2  # B's default dimension: that of planar graphs under a linear control function
+
 
 @dataclass(frozen=True)
 class ControlFunction:
@@ -86,8 +89,8 @@ def planar_nomination(k: int = K_UNIFORM, alpha: int = ALPHA) -> UniformSubAlgor
 class BConfig:
     sub: UniformSubAlgorithm
     predicate: ClassPredicate
-    control: ControlFunction = field(default_factory=linear_control)
-    dim: int = 2
+    control: ControlFunction = field(default_factory=lambda: parse_control(CONTROL))
+    dim: int = DIM
 
     def __post_init__(self):
         if self.dim < 0:

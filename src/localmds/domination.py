@@ -11,6 +11,11 @@ greedy cover for the size, at the optimum size for the enumeration, and as
 a feasibility test on each prefix for the best set. `budget` caps the
 search nodes of one whole query.
 
+Each query builds one table of closed-neighborhood bitmasks, N[v] per
+vertex position, and reads all coverage from it: N[.] is symmetric, so
+`closed[c] & mask` answers both "what does c cover" and "who covers b".
+The reductions, the search and the strict-containment discard share it.
+
 Sets are compared lexicographically by their ascending label sequences;
 all returned optima have equal size, so no prefix issue arises.
 """
@@ -53,56 +58,62 @@ def _closed_masks(g: LabeledGraph) -> tuple[dict[int, int], list[int]]:
 
 
 class _Instance:
-    """Bitmask view of one subset-domination instance."""
+    """One query: the N[v] mask table, the target, its candidates and the node budget.
 
-    __slots__ = ("labels", "target_mask", "cands", "cover")
+    N[.] is symmetric, so `closed[c] & mask` is both what c covers in
+    `mask` and, for a target position c, who among `mask` covers it.
+    """
 
-    def __init__(self, g: LabeledGraph, target: VertexSet):
+    __slots__ = ("labels", "pos", "closed", "target_mask", "cands", "budget", "used", "query")
+
+    def __init__(self, g: LabeledGraph, target: Iterable[int], query: str, budget: int):
         self.labels = g.labels
-        pos, closed = _closed_masks(g)
-        self.target_mask = tmask = sum(1 << pos[v] for v in target)
-        self.cover = {i: m & tmask for i, m in enumerate(closed) if m & tmask}
-        self.cands = list(self.cover)
+        self.pos, self.closed = _closed_masks(g)
+        self.target_mask = tmask = self.mask(_vertex_set(g, target, "target"))
+        self.cands = [i for i, m in enumerate(self.closed) if m & tmask]
+        self.budget = budget
+        self.used = 0  # search nodes so far, over the whole query
+        self.query = query  # the public function, named in a budget error
+
+    def mask(self, vertices: VertexSet) -> int:
+        return sum(1 << self.pos[v] for v in vertices)
 
     def to_labels(self, indices: Iterable[int]) -> VertexSet:
         return frozenset(self.labels[i] for i in indices)
 
 
-class _Nodes:
-    """Search nodes one query has used, against its budget."""
-
-    __slots__ = ("budget", "used", "query", "targets")
-
-    def __init__(self, budget: int, query: str, targets: int):
-        self.budget = budget
-        self.used = 0
-        self.query = query  # the public function, named in a budget error
-        self.targets = targets
-
-
 def _greedy(inst: _Instance) -> list[int]:
-    covered = 0
+    rem = inst.target_mask
     chosen: list[int] = []
-    while covered & inst.target_mask != inst.target_mask:
-        best_i = -1
-        best_gain = 0
-        for i in inst.cands:
-            gain = (inst.cover[i] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_i = gain, i
-        chosen.append(best_i)
-        covered |= inst.cover[best_i]
+    while rem:
+        best = max(inst.cands, key=lambda i: (inst.closed[i] & rem).bit_count())  # first maximum
+        chosen.append(best)
+        rem &= ~inst.closed[best]
     return chosen
 
 
-def _common(sets: dict[int, int] | list[int], members: int, everyone: int) -> int:
+def _common(sets: list[int], members: int, everyone: int) -> int:
     """Keys in `everyone` holding every member: the AND of each member e's holder mask sets[e]."""
     for e in _bits(members):
         everyone &= sets[e]
     return everyone
 
 
-def _reduce(inst: _Instance) -> tuple[list[int], dict[int, int], int]:
+def _dominated(closed: list[int], scope: int) -> int:
+    """Positions v in `scope` with some w in `scope` such that N[v] is strictly inside N[w].
+
+    N[v] lies inside N[w] exactly when w is in N[u] for every u in N[v]:
+    v's containers are the common holders of N[v]'s members, so only
+    vertices within distance 2 are compared.
+    """
+    out = 0
+    for v in _bits(scope):
+        if any(closed[w] != closed[v] for w in _bits(_common(closed, closed[v], scope))):
+            out |= 1 << v
+    return out
+
+
+def _reduce(inst: _Instance) -> tuple[list[int], int]:
     """Standard lossless set-cover reductions for size/witness search.
 
     Drops a target vertex whose coverer set contains another's (covering
@@ -111,46 +122,39 @@ def _reduce(inst: _Instance) -> tuple[list[int], dict[int, int], int]:
     Ties keep the lower index, so a pass drops exactly the non-minimal
     elements of one strict order, whatever order it visits them in. Only
     sets sharing a member are compared: a set's containers are the common
-    holders of its members. Neither rule changes the optimum size, and any
-    witness over the reduced instance dominates the full target.
-    Enumeration never uses this.
+    holders of its members. Target b's coverers are `closed[b] & live`.
+    Neither rule changes the optimum size, and any witness over the reduced
+    instance dominates the full target. Enumeration never uses this.
     """
-    cands = list(inst.cands)
-    cover = dict(inst.cover)
-    tmask = inst.target_mask
+    closed = inst.closed
+    cands, tmask = inst.cands, inst.target_mask
     while True:
-        coverers = dict.fromkeys(_bits(tmask), 0)
-        everyone = 0
-        for c in cands:
-            everyone |= 1 << c
-            for b in _bits(cover[c]):
-                coverers[b] |= 1 << c
+        live = sum(1 << c for c in cands)
         before = tmask
-        for b, who in coverers.items():
-            for b2 in _bits(_common(cover, who, tmask) & ~(1 << b)):
-                if coverers[b2] != who or b < b2:
+        for b in _bits(before):
+            who = closed[b] & live
+            for b2 in _bits(_common(closed, who, tmask) & ~(1 << b)):
+                if closed[b2] & live != who or b < b2:
                     tmask &= ~(1 << b2)
         kept = []
         for c in cands:
-            cv = cover[c] & tmask
-            holders = _common(coverers, cv, everyone) & ~(1 << c)
-            if not any(d < c or cover[d] & tmask != cv for d in _bits(holders)):
+            cv = closed[c] & tmask
+            holders = _common(closed, cv, live) & ~(1 << c)
+            if not any(d < c or closed[d] & tmask != cv for d in _bits(holders)):
                 kept.append(c)
         if tmask == before and len(kept) == len(cands):
-            return cands, cover, tmask
+            return cands, tmask
         cands = kept
-        cover = {c: cover[c] & tmask for c in cands}
 
 
 def _search(
-    cover: dict[int, int],
+    inst: _Instance,
     cands: list[int],
     rem: int,
     limit: int,
-    nodes: _Nodes,
     found: list[tuple[int, ...]] | None = None,
 ) -> tuple[int, ...] | None:
-    """Covers of `rem` by at most `limit` members of `cands`, depth first.
+    """Covers of `rem` (inside the target) by at most `limit` members of `cands`, depth first.
 
     Branches on the uncovered vertex with the fewest dominators among
     `cands` (counted once, up front; the lowest bit breaks ties). Child i
@@ -173,9 +177,10 @@ def _search(
     `found`, appends every cover of exactly `limit` members to it; `limit`
     must then be the optimum.
     """
-    ranked = sorted((-(cover[c] & rem).bit_count(), c) for c in cands if cover[c] & rem)
+    closed = inst.closed
+    ranked = sorted((-(closed[c] & rem).bit_count(), c) for c in cands if closed[c] & rem)
     order = [c for _, c in ranked]
-    masks = [cover[c] for c in order]
+    masks = [closed[c] for c in order]
     sizes = [-s for s, _ in ranked]
     dominators: dict[int, list[int]] = {b: [] for b in _bits(rem)}
     for c, m in zip(order, masks):
@@ -190,11 +195,11 @@ def _search(
     while stack:
         rem, chosen, banned = stack.pop()
         count = len(chosen)
-        nodes.used += 1
-        if nodes.used > nodes.budget:
+        inst.used += 1
+        if inst.used > inst.budget:
             raise EnumerationBudgetError(
-                f"{nodes.query}: exact search exceeded {nodes.budget} nodes"
-                f" (target of {nodes.targets} vertices)"
+                f"{inst.query}: exact search exceeded {inst.budget} nodes"
+                f" (target of {inst.target_mask.bit_count()} vertices)"
             )
         if not rem:
             if count > limit:
@@ -224,32 +229,30 @@ def _search(
         children = []
         for c in dominators[b]:
             if not banned >> c & 1:
-                children.append((rem & ~cover[c], chosen + (c,), banned))
+                children.append((rem & ~closed[c], chosen + (c,), banned))
                 banned |= 1 << c
         stack.extend(reversed(children))
     return best
 
 
-def _solve(inst: _Instance, nodes: _Nodes) -> tuple[int, ...]:
+def _solve(inst: _Instance) -> tuple[int, ...]:
     """One minimum cover (candidate indices): greedy, reductions, then the
     search for anything strictly smaller than the greedy cover."""
     greedy = tuple(_greedy(inst))
-    cands, cover, tmask = _reduce(inst)
-    best = _search(cover, cands, tmask, len(greedy) - 1, nodes)
+    cands, tmask = _reduce(inst)
+    best = _search(inst, cands, tmask, len(greedy) - 1)
     return greedy if best is None else best
 
 
 def mds_size(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum number of vertices of g whose closed neighborhoods cover `target`."""
-    target = _vertex_set(g, target, "target")
-    return len(_solve(_Instance(g, target), _Nodes(budget, "mds_size", len(target))))
+    return len(_solve(_Instance(g, target, "mds_size", budget)))
 
 
 def minimum_dominating_set(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> VertexSet:
     """One exact minimum dominating set of `target`; deterministic for fixed inputs."""
-    target = _vertex_set(g, target, "target")
-    inst = _Instance(g, target)
-    return inst.to_labels(_solve(inst, _Nodes(budget, "minimum_dominating_set", len(target))))
+    inst = _Instance(g, target, "minimum_dominating_set", budget)
+    return inst.to_labels(_solve(inst))
 
 
 def all_minimum_dominating_sets(
@@ -261,11 +264,9 @@ def all_minimum_dominating_sets(
     together; every optimum is a leaf node, so it also caps their number.
     Exceeding it raises EnumerationBudgetError rather than truncating.
     """
-    target = _vertex_set(g, target, "target")
-    inst = _Instance(g, target)
-    nodes = _Nodes(budget, "all_minimum_dominating_sets", len(target))
+    inst = _Instance(g, target, "all_minimum_dominating_sets", budget)
     found: list[tuple[int, ...]] = []
-    _search(inst.cover, inst.cands, inst.target_mask, len(_solve(inst, nodes)), nodes, found)
+    _search(inst, inst.cands, inst.target_mask, len(_solve(inst)), found)
     return sorted((inst.to_labels(s) for s in found), key=sorted)
 
 
@@ -273,18 +274,11 @@ def strictly_dominated(g: LabeledGraph, within: Iterable[int] | None = None) -> 
     """Vertices v with some w such that N[v] is strictly contained in N[w].
 
     When `within` is given, both v and w range over it only; by default
-    they range over the whole graph. N[v] lies inside N[w] exactly when w
-    is in N[u] for every u in N[v]: v's containers are the common holders
-    of N[v]'s members, so only vertices within distance 2 are compared.
+    they range over the whole graph.
     """
     pos, closed = _closed_masks(g)
     scope = _vertex_set(g, within, "within") if within is not None else g.labels
-    everyone = sum(1 << pos[v] for v in scope)
-    return frozenset(
-        g.labels[v]
-        for v in _bits(everyone)
-        if any(closed[w] != closed[v] for w in _bits(_common(closed, closed[v], everyone)))
-    )
+    return frozenset(g.labels[v] for v in _bits(_dominated(closed, sum(1 << pos[v] for v in scope))))
 
 
 def best_minimum_dominating_set(
@@ -312,23 +306,22 @@ def best_minimum_dominating_set(
     optimum from later candidates. This equals enumerate-then-filter
     without the full enumeration; `budget` caps search nodes.
     """
-    target = _vertex_set(g, target, "target")
-    inst = _Instance(g, target)
-    nodes = _Nodes(budget, "best_minimum_dominating_set", len(target))
-    m = len(_solve(inst, nodes))
-    discard = strictly_dominated(g, within=compare)
-    allowed = [c for c in inst.cands if inst.labels[c] not in discard]
-    cover = inst.cover
+    inst = _Instance(g, target, "best_minimum_dominating_set", budget)
+    scope = inst.mask(_vertex_set(g, compare, "compare")) if compare is not None else (1 << g.n) - 1
+    m = len(_solve(inst))
+    closed = inst.closed
+    discard = _dominated(closed, scope)
+    allowed = [c for c in inst.cands if not discard >> c & 1]
     suffix = [0] * (len(allowed) + 1)
     for p in range(len(allowed) - 1, -1, -1):
-        suffix[p] = suffix[p + 1] | cover[allowed[p]]
+        suffix[p] = suffix[p + 1] | closed[allowed[p]]
     chosen: list[int] = []
     rem = inst.target_mask
     for p, c in enumerate(allowed):
-        rest = rem & ~cover[c]
+        rest = rem & ~closed[c]
         if rest == rem or rest & ~suffix[p + 1]:
             continue
-        if rest and _search(cover, allowed[p + 1 :], rest, m - len(chosen) - 1, nodes) is None:
+        if rest and _search(inst, allowed[p + 1 :], rest, m - len(chosen) - 1) is None:
             continue
         chosen.append(c)
         rem = rest

@@ -14,17 +14,6 @@ from .errors import InputError, InvariantError
 from .graph import LabeledGraph
 from .planarity import is_planar
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "grid",
-    "toroidalGrid",
-    "randomPlanarTriangulation",
-    "projectiveCirculant",
-    "depth2Tree",
-    "gadgetGraft",
-)
-
 _PLANAR_FAMILIES = frozenset(
     {"path", "cycle", "grid", "randomPlanarTriangulation", "depth2Tree"}
 )
@@ -185,25 +174,22 @@ def _gen_gadget_graft(params, rng) -> LabeledGraph:
     spacing = _int_param(params, "spacing", 1, default=30)
     kind = str(params.get("gadget", "K5"))
     if host == "path":
-        host_n = _int_param(params, "n", 1)
+        host_n = line = _int_param(params, "n", 1)
         host_edges = _path_edges(host_n)
-        span = (gadgets - 1) * spacing
-        if span >= host_n:
-            raise InputError(f"{gadgets} gadgets spaced {spacing} need a path longer than {span}")
-        offset = rng.randrange(host_n - span)
-        points = [offset + i * spacing for i in range(gadgets)]
     elif host == "grid":
         rows = _int_param(params, "rows", 1)
-        cols = _int_param(params, "cols", 1)
-        host_n = rows * cols
-        host_edges = _grid_edges(rows, cols, wrap=False)
-        span = (gadgets - 1) * spacing
-        if span >= cols:
-            raise InputError(f"{gadgets} gadgets spaced {spacing} need a grid wider than {span}")
-        offset = rng.randrange(cols - span)
-        points = [offset + i * spacing for i in range(gadgets)]  # row 0, so labels = columns
+        line = _int_param(params, "cols", 1)  # gadgets hang off row 0, whose labels are its columns
+        host_n = rows * line
+        host_edges = _grid_edges(rows, line, wrap=False)
     else:
         raise InputError(f"unknown gadget host {host!r}")
+    span = (gadgets - 1) * spacing
+    if span >= line:
+        raise InputError(
+            f"{gadgets} gadgets spaced {spacing} need more than {span} attachment points on the {host}, got {line}"
+        )
+    offset = rng.randrange(line - span)
+    points = [offset + i * spacing for i in range(gadgets)]
     edges = list(host_edges)
     base = host_n
     for p in points:
@@ -224,6 +210,7 @@ _GENERATORS = {
     "depth2Tree": _gen_depth2_tree,
     "gadgetGraft": _gen_gadget_graft,
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: GeneratorSpec) -> LabeledGraph:

@@ -24,13 +24,15 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .composition import BConfig, algorithm_b, parse_control, planar_nomination
+from .composition import CONTROL, DIM, BConfig, algorithm_b, parse_control, planar_nomination
 from .domination import DEFAULT_BUDGET, mds_size, verify_domination
-from .errors import EnumerationBudgetError, InputError, InvariantError, LocalMdsError, RuleError
+from .errors import EnumerationBudgetError, InputError, InvariantError, LocalMdsError
 from .generators import GeneratorSpec, generate
 from .graph import LabeledGraph, neighborhood
-from .nomination import algorithm_a_run
+from .nomination import ALPHA, K_UNIFORM, algorithm_a_run
 from .planarity import PLANAR
+
+ORACLE_MAX_N = 25  # the exact optimum is computed only up to this many vertices
 
 _CSV_COLUMNS = (
     "family",
@@ -101,7 +103,8 @@ def distance3_lower_bound(g: LabeledGraph) -> int:
 
 
 def error_category(exc: BaseException) -> str:
-    """`resource` if a budget, the recursion limit or memory ran out anywhere in the cause chain."""
+    """`resource` if a budget, the recursion limit or memory ran out anywhere in the cause chain;
+    else `input` for bad input, `internal` for any other package error, `unexpected` otherwise."""
     seen: BaseException | None = exc
     while seen is not None:
         if isinstance(seen, (EnumerationBudgetError, RecursionError, MemoryError)):
@@ -109,18 +112,16 @@ def error_category(exc: BaseException) -> str:
         seen = seen.__cause__
     if isinstance(exc, InputError):
         return "input"
-    if isinstance(exc, (InvariantError, RuleError)):
-        return "internal"
     if isinstance(exc, LocalMdsError):
-        return "error"
+        return "internal"
     return "unexpected"
 
 
 def build_b_config(alg_config: dict) -> BConfig:
-    control = parse_control(str(alg_config.get("control_fn", "linear:1")))
-    k = int(alg_config.get("k", 4))
-    alpha = int(alg_config.get("alpha", 302))
-    dim = int(alg_config.get("dim", 2))
+    control = parse_control(str(alg_config.get("control_fn", CONTROL)))
+    k = int(alg_config.get("k", K_UNIFORM))
+    alpha = int(alg_config.get("alpha", ALPHA))
+    dim = int(alg_config.get("dim", DIM))
     return BConfig(sub=planar_nomination(k=k, alpha=alpha), predicate=PLANAR, control=control, dim=dim)
 
 
@@ -129,7 +130,7 @@ def run_cell(
     descriptor: dict,
     alg_config: dict,
     *,
-    oracle_max_n: int = 25,
+    oracle_max_n: int = ORACLE_MAX_N,
     budget: int = DEFAULT_BUDGET,
 ) -> RunReport:
     """Run one algorithm on one graph; failures land in the report row.
@@ -188,7 +189,7 @@ def experiment(suite: dict) -> tuple[list[RunReport], dict]:
     """Run every (graph, algorithm) cell of a suite; return rows + aggregates."""
     if not isinstance(suite, dict) or "graphs" not in suite or "algorithms" not in suite:
         raise InputError("suite must be a dict with 'graphs' and 'algorithms'")
-    oracle_max_n = int(suite.get("oracle_max_n", 25))
+    oracle_max_n = int(suite.get("oracle_max_n", ORACLE_MAX_N))
     budget = int(suite.get("budget", DEFAULT_BUDGET))
     reports: list[RunReport] = []
     for gspec in suite["graphs"]:

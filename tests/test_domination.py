@@ -216,6 +216,12 @@ class TestBestMinimumDominatingSet:
         best = best_minimum_dominating_set(g, g.labels, compare={0, 3})
         assert best == {0, 2}  # plain lexicographic minimum, nothing discarded
 
+    def test_compare_checked_before_searching(self):
+        # a budget of one node cannot finish the search, so the input error comes first
+        g = grid(3, 3)
+        with pytest.raises(InputError, match="^compare contains 99"):
+            best_minimum_dominating_set(g, g.labels, compare={0, 99}, budget=1)
+
     def test_budget_error(self):
         g = grid(5, 5)
         message = r"^best_minimum_dominating_set: exact search exceeded 3 nodes \(target of 25 vertices\)$"
@@ -266,6 +272,12 @@ class TestPinnedWitnesses:
         got = minimum_dominating_set(view.subgraph, near)
         assert sorted(got) == [0, 1, 2, 3, 5, 16, 28, 29, 30, 62]
 
+    def test_triangulation_with_deletions(self):
+        # the reductions cut this instance from 100 candidates and targets to 20
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 100, "deletions": 60}, seed=1))
+        got = minimum_dominating_set(g, g.labels)
+        assert sorted(got) == [0, 1, 2, 3, 6, 8, 9, 11, 14, 17, 25, 28, 29, 31, 36, 58, 59, 64, 65]
+
 
 def _needs_exactly(nodes, query):
     """`query(budget)` fits in `nodes` search nodes and not in one fewer."""
@@ -295,6 +307,10 @@ class TestPinnedNodeCounts:
             3040,
             lambda budget: best_minimum_dominating_set(view.subgraph, near, compare=near, budget=budget),
         )
+
+    def test_minimum_set_after_reductions(self):
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 100, "deletions": 60}, seed=1))
+        _needs_exactly(22, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
 
 
 def test_neighborhood_oracle_consistency(rng):

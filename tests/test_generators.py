@@ -142,6 +142,14 @@ class TestParameterValidation:
         with pytest.raises(InputError):
             generate(spec)
 
+    @pytest.mark.parametrize("host, line", [({"host": "path"}, "n"), ({"host": "grid", "rows": 3}, "cols")])
+    def test_too_many_gadgets_for_the_host(self, host, line):
+        # three gadgets 20 apart span 40 positions of the host line: 40 are too few, 41 fit
+        params = dict(host, gadgets=3, spacing=20)
+        with pytest.raises(InputError, match="need more than 40 attachment points"):
+            generate(GeneratorSpec("gadgetGraft", dict(params, **{line: 40})))
+        generate(GeneratorSpec("gadgetGraft", dict(params, **{line: 41})))
+
 
 def test_gadget_spacing_is_real_distance():
     g = generate(GeneratorSpec("gadgetGraft", {"n": 100, "gadgets": 3, "spacing": 30}, seed=13))

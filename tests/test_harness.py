@@ -7,6 +7,8 @@ from localmds import (
     EnumerationBudgetError,
     GeneratorSpec,
     InputError,
+    InvariantError,
+    LocalMdsError,
     RuleError,
     RunReport,
     distance3_lower_bound,
@@ -93,6 +95,8 @@ class TestErrorCategory:
     def test_other_categories(self):
         assert error_category(InputError("x")) == "input"
         assert error_category(RuleError(0, "x")) == "internal"
+        assert error_category(InvariantError("x")) == "internal"
+        assert error_category(LocalMdsError("x")) == "internal"
         assert error_category(ValueError("x")) == "unexpected"
 
 
