@@ -7,9 +7,11 @@ which loses nothing: a vertex outside N[target] covers no target vertex,
 so no minimum dominating set of the target can contain one.
 
 Every query runs one iterative branch and bound, `_search`: below a
-greedy cover for the size, at the optimum size for the enumeration, and as
-a feasibility test on each prefix for the best set. `budget` caps the
-search nodes of one whole query.
+greedy cover for the size, at the optimum size for the enumeration, and,
+for the best set, first below a greedy cover over the allowed candidates
+and then as a feasibility test on a prefix. The best set searches a
+prefix only when the last completion found does not already prove it can
+be finished. `budget` caps the search nodes of one whole query.
 
 Each query builds one table of closed-neighborhood bitmasks, N[v] per
 vertex position, and reads all coverage from it: N[.] is symmetric, so
@@ -82,13 +84,17 @@ class _Instance:
         return frozenset(self.labels[i] for i in indices)
 
 
-def _greedy(inst: _Instance) -> list[int]:
+def _greedy(inst: _Instance, cands: list[int]) -> list[int]:
+    """A cover of the target by `cands`, each step taking the first member of largest gain."""
+    closed = inst.closed
     rem = inst.target_mask
     chosen: list[int] = []
     while rem:
-        best = max(inst.cands, key=lambda i: (inst.closed[i] & rem).bit_count())  # first maximum
+        best = max(cands, key=lambda i: (closed[i] & rem).bit_count())
+        if not closed[best] & rem:
+            raise InvariantError("greedy cover: no candidate covers the uncovered target vertices")
         chosen.append(best)
-        rem &= ~inst.closed[best]
+        rem &= ~closed[best]
     return chosen
 
 
@@ -238,7 +244,7 @@ def _search(
 def _solve(inst: _Instance) -> tuple[int, ...]:
     """One minimum cover (candidate indices): greedy, reductions, then the
     search for anything strictly smaller than the greedy cover."""
-    greedy = tuple(_greedy(inst))
+    greedy = tuple(_greedy(inst, inst.cands))
     cands, tmask = _reduce(inst)
     best = _search(inst, cands, tmask, len(greedy) - 1)
     return greedy if best is None else best
@@ -301,17 +307,27 @@ def best_minimum_dominating_set(
     which vertices participate in the strict-containment comparison (used
     by callers whose views have truncated boundary neighborhoods).
 
-    Built in label order over non-discarded candidates: each is kept iff
-    it covers something still uncovered and the search can finish an
-    optimum from later candidates. This equals enumerate-then-filter
-    without the full enumeration; `budget` caps search nodes.
+    The size m comes from a search over the non-discarded ("allowed")
+    candidates alone, below a greedy cover over them: by the swap argument
+    an optimum lies inside them, so m is the optimum size.
+
+    Built in label order over the allowed candidates: each is kept iff it
+    covers something still uncovered and the search can finish an optimum
+    from later candidates. This equals enumerate-then-filter without the
+    full enumeration; `budget` caps search nodes. `witness`, the ascending
+    completion of the chosen prefix that the last search (or the size
+    search) found, makes most of those searches unnecessary: when its
+    smallest member is the candidate at hand, the rest of it finishes an
+    optimum from later candidates, so the search could only say yes.
     """
     inst = _Instance(g, target, "best_minimum_dominating_set", budget)
     scope = inst.mask(_vertex_set(g, compare, "compare")) if compare is not None else (1 << g.n) - 1
-    m = len(_solve(inst))
     closed = inst.closed
     discard = _dominated(closed, scope)
     allowed = [c for c in inst.cands if not discard >> c & 1]
+    greedy = _greedy(inst, allowed)
+    witness = sorted(_search(inst, allowed, inst.target_mask, len(greedy) - 1) or greedy)
+    m = len(witness)
     suffix = [0] * (len(allowed) + 1)
     for p in range(len(allowed) - 1, -1, -1):
         suffix[p] = suffix[p + 1] | closed[allowed[p]]
@@ -321,8 +337,13 @@ def best_minimum_dominating_set(
         rest = rem & ~closed[c]
         if rest == rem or rest & ~suffix[p + 1]:
             continue
-        if rest and _search(inst, allowed[p + 1 :], rest, m - len(chosen) - 1) is None:
-            continue
+        if witness[0] == c:
+            witness.pop(0)
+        elif rest:
+            found = _search(inst, allowed[p + 1 :], rest, m - len(chosen) - 1)
+            if found is None:
+                continue
+            witness = sorted(found)
         chosen.append(c)
         rem = rest
         if not rem:

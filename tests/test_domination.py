@@ -5,6 +5,7 @@ from localmds import (
     EnumerationBudgetError,
     GeneratorSpec,
     InputError,
+    InvariantError,
     all_minimum_dominating_sets,
     ball,
     best_minimum_dominating_set,
@@ -15,6 +16,7 @@ from localmds import (
     strictly_dominated,
     verify_domination,
 )
+from localmds.domination import _greedy, _Instance
 from reference import exhaustive_all_mds, exhaustive_mds_size, strictly_dominated_by_pairs
 
 
@@ -238,6 +240,37 @@ class TestBestMinimumDominatingSet:
         assert len(best) == mds_size(view.subgraph, near)
         assert not best & strictly_dominated(view.subgraph, near)
 
+    def test_pinned_on_triangulation_view(self):
+        # recorded before the size search moved to the allowed candidates
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1))
+        view = ball(g, 0, 4)
+        near = frozenset(v for v, d in view.dist.items() if d <= 3)
+        assert (view.subgraph.n, len(near)) == (150, 139)
+        best = best_minimum_dominating_set(view.subgraph, near, compare=near)
+        assert sorted(best) == [0, 1, 3, 4, 5, 6, 7, 8, 11, 14, 16, 26, 29, 31, 41, 50, 58, 143]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_enumerate_filter_lexmin_on_views(self, seed):
+        # every radius-3 view of a triangulation, as algorithm A queries it:
+        # discard within the target, then the lexicographic minimum
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 60}, seed=seed))
+        for u in g.labels:
+            view = ball(g, u, 3)
+            near = frozenset(v for v, d in view.dist.items() if d <= 2)
+            discard = strictly_dominated(view.subgraph, near)
+            optima = all_minimum_dominating_sets(view.subgraph, near, budget=2 * 10**5)
+            expected = min((s for s in optima if not s & discard), key=sorted)
+            assert best_minimum_dominating_set(view.subgraph, near, compare=near) == expected
+
+
+class TestGreedy:
+    def test_candidates_missing_a_target_vertex(self):
+        # position 0 of P3 covers 0 and 1 only; without a check the loop would never end
+        g = path(3)
+        inst = _Instance(g, g.labels, "test", 1)
+        with pytest.raises(InvariantError, match="^greedy cover"):
+            _greedy(inst, [0])
+
 
 class TestStrictlyDominated:
     def test_matches_pairwise_definition(self, rng):
@@ -304,7 +337,7 @@ class TestPinnedNodeCounts:
         view = ball(g, 0, 4)
         near = frozenset(v for v, d in view.dist.items() if d <= 3)
         _needs_exactly(
-            3040,
+            2388,
             lambda budget: best_minimum_dominating_set(view.subgraph, near, compare=near, budget=budget),
         )
 

@@ -37,6 +37,12 @@ class TestAlgorithmAExamples:
     def test_empty_graph(self):
         assert algorithm_a(LabeledGraph.from_edges(0)) == frozenset()
 
+    def test_pinned_on_triangulation(self):
+        # recorded before the best-set search changed; every vertex's view is a best-set query
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1))
+        expected = [0, 1, 3, 4, 5, 6, 7, 11, 14, 16, 26, 29, 31, 41, 45, 50, 55, 58, 59, 64, 126, 143]
+        assert sorted(algorithm_a(g)) == expected
+
 
 class TestAlgorithmAProperties:
     @pytest.mark.parametrize(
