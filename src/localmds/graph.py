@@ -11,7 +11,8 @@ concurrent read-only use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -124,20 +125,41 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallView:
-    """What a vertex sees after `radius` rounds: the induced subgraph on
-    every vertex within that distance, annotated with distances from the
-    center. Labels are those of the host graph."""
+    """What a vertex sees after `radius` rounds: every vertex within that
+    distance of `center`, with its distance, and the edges among them.
+    Labels are those of the host graph.
+
+    A rule sees only the ball. The host graph is a private field, read only
+    restricted to the ball: by `subgraph` and `ranked`, each computed on
+    first use, so a rule that needs only the ranked form builds no graph.
+    """
 
     center: int
     radius: int
-    subgraph: LabeledGraph
     dist: Mapping[int, int]
+    _host: LabeledGraph = field(repr=False)
+
+    @cached_property
+    def subgraph(self) -> LabeledGraph:
+        """The subgraph of the host induced on the ball."""
+        return self._host.induced(self.dist)
+
+    @cached_property
+    def ranked(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """`ranked_form(self.subgraph)`, read off the host without building it."""
+        return ranked_form(self._host, self.dist)
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return self.subgraph.labels
+        return tuple(sorted(self.dist))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BallView):
+            return NotImplemented
+        mine, theirs = (self.center, self.radius, self.dist), (other.center, other.radius, other.dist)
+        return mine == theirs and self.subgraph == other.subgraph
 
 
 def _bfs(g: LabeledGraph, sources: Iterable[int], radius: int | None = None) -> dict[int, int]:
@@ -172,7 +194,7 @@ def ball(g: LabeledGraph, center: int, radius: int) -> BallView:
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
     dist = _bfs(g, (center,), radius)
-    return BallView(center, radius, g.induced(dist), dist)
+    return BallView(center, radius, dist, g)
 
 
 def neighborhood(g: LabeledGraph, seeds: Iterable[int], radius: int = 1) -> VertexSet:
@@ -224,19 +246,23 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
     return best
 
 
-def ranked_form(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def ranked_form(
+    g: LabeledGraph, within: Iterable[int] | None = None
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Order-preserving compaction of a graph to labels 0..n-1.
 
     Returns (labels, edges) where labels[i] is the original label of rank i
     and edges are re-labeled by rank. Two graphs with equal ranked edges are
     isomorphic via a label-order-preserving map, so results of any
     computation that consults labels only through their relative order
-    transfer between them.
+    transfer between them. With `within`, it is the ranked form of the
+    subgraph induced on `within`, read off g without building that subgraph.
     """
-    labels = g.labels
+    labels = g.labels if within is None else tuple(sorted(set(within)))
     pos = {v: i for i, v in enumerate(labels)}
-    edges = tuple(sorted((pos[u], pos[v]) for u, v in g.edges()))
-    return labels, edges
+    edges = [(i, pos[w]) for i, v in enumerate(labels) for w in g.neighbors(v) if v < w and w in pos]
+    edges.sort()
+    return labels, tuple(edges)
 
 
 # --- on-disk formats -------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size, _vertex_set
 from .errors import InputError, InvariantError
-from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, ranked_form
+from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood
 from .runtime import LocalAlgorithm, RoundLedger, run_by_views
 
 VIEW_RADIUS = 4
@@ -53,11 +53,15 @@ def _best_ranked(n: int, edges: tuple[tuple[int, int], ...], target: tuple[int, 
 
 
 def best_local_set(view: BallView) -> VertexSet:
-    """Best minimum dominating set of the distance-<=3 part of a radius-4 view."""
+    """Best minimum dominating set of the distance-<=3 part of a radius-4 view.
+
+    Keyed on the view's ranked form; only a cache miss builds the view's
+    subgraph, and searches it.
+    """
     if view.radius != VIEW_RADIUS:
         raise InputError(f"nomination rule needs radius-{VIEW_RADIUS} views, got {view.radius}")
     near = frozenset(v for v, d in view.dist.items() if d <= TARGET_RADIUS)
-    labels, edges = ranked_form(view.subgraph)
+    labels, edges = view.ranked
     pos = {v: i for i, v in enumerate(labels)}
     memo = _best_ranked(len(labels), edges, tuple(sorted(pos[v] for v in near)))
     if not memo:
@@ -68,7 +72,7 @@ def best_local_set(view: BallView) -> VertexSet:
 
 def nomination_rule(view: BallView) -> NominationDecision:
     best = best_local_set(view)
-    mine = best & view.subgraph.closed_neighborhood(view.center)
+    mine = [v for v in best if view.dist[v] <= 1]
     if not mine:
         raise InvariantError(f"best local set of {view.center} misses its closed neighborhood")
     return NominationDecision(best, min(mine))

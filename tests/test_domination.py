@@ -6,6 +6,7 @@ from localmds import (
     GeneratorSpec,
     InputError,
     InvariantError,
+    LabeledGraph,
     all_minimum_dominating_sets,
     ball,
     best_minimum_dominating_set,
@@ -344,6 +345,19 @@ class TestPinnedNodeCounts:
     def test_minimum_set_after_reductions(self):
         g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 100, "deletions": 60}, seed=1))
         _needs_exactly(22, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
+
+    def test_minimum_set_after_equal_target_tie_break(self):
+        # targets with equal coverer sets keep the lower label; keeping the
+        # higher one instead solves this query in 5 nodes
+        edges = [
+            (0, 3), (0, 4), (0, 9), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6),
+            (2, 8), (3, 5), (3, 9), (3, 10), (3, 12), (4, 6), (4, 7), (4, 9), (5, 7), (5, 10),
+            (5, 11), (5, 12), (6, 7), (6, 8), (6, 11), (8, 9), (9, 11), (9, 12), (10, 11),
+        ]
+        g = LabeledGraph.from_edges(13, edges)
+        target = [0, 1, 3, 4, 5, 6, 7, 8, 10, 11]
+        _needs_exactly(6, lambda budget: minimum_dominating_set(g, target, budget=budget))
+        assert minimum_dominating_set(g, target) == {3, 6}
 
 
 def test_neighborhood_oracle_consistency(rng):

@@ -143,6 +143,29 @@ class TestAlgorithmAProperties:
         assert seen
         assert all(h == g.induced(h.labels) for h in seen)
 
+    def test_cache_hits_build_no_view_graph(self, monkeypatch):
+        # the key is read off the host: only a miss builds its view's subgraph.
+        # On the 10x10 grid the 100 views have 81 distinct ranked forms.
+        from localmds import nomination
+
+        induced, searches = [], []
+        real_induced = LabeledGraph.induced
+
+        def counting_induced(self, keep):
+            induced.append(keep)
+            return real_induced(self, keep)
+
+        def counting_search(h, *args, **kwargs):
+            searches.append(h)
+            return best_minimum_dominating_set(h, *args, **kwargs)
+
+        nomination._best_ranked.cache_clear()
+        monkeypatch.setattr(LabeledGraph, "induced", counting_induced)
+        monkeypatch.setattr(nomination, "best_minimum_dominating_set", counting_search)
+        g = grid(10, 10)
+        algorithm_a(g)
+        assert 0 < len(induced) == len(searches) < g.n
+
     def test_best_local_set_requires_radius_four(self):
         with pytest.raises(InputError):
             best_local_set(ball(path(6), 2, 1))

@@ -11,6 +11,7 @@ from localmds import (
     best_minimum_dominating_set,
     mds_size,
     minimum_dominating_set,
+    ranked_form,
     run_by_messages,
     run_by_views,
 )
@@ -48,9 +49,17 @@ def test_domination_oracles_agree_with_exhaustion(instance):
     assert best_minimum_dominating_set(g, target, compare=compare) == min(survivors, key=sorted)
 
 
+@given(graphs(), st.data())
+def test_ranked_form_within_equals_ranked_form_of_induced(g, data):
+    within = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    assert ranked_form(g, within) == ranked_form(g.induced(within))
+
+
 def _whole_view(view):
-    # edges() order follows how a graph was built, so compare them sorted
-    return view.vertices, tuple(sorted(view.subgraph.edges())), tuple(sorted(view.dist.items()))
+    # edges() order follows how a graph was built, so compare them sorted;
+    # view.ranked is read off the host, so check it against the built subgraph
+    assert view.ranked == ranked_form(view.subgraph)
+    return view.vertices, tuple(sorted(view.subgraph.edges())), tuple(sorted(view.dist.items())), view.ranked
 
 
 @given(graphs(), st.integers(0, 3))
