@@ -4,7 +4,10 @@ Given a sub-algorithm with uniform approximation guarantees on some
 hereditary class, the composition runs three phases on an arbitrary graph:
 
 1. every vertex inspects its radius-T view and flags itself as an *error*
-   when that view falls outside the class;
+   when that view falls outside the class. The class is hereditary and a
+   view is an induced subgraph of its center's connected component, so a
+   component inside the class is cleared whole by one predicate call; only
+   the vertices of the other components are checked view by view;
 2. the sub-algorithm runs, but flagged vertices are filtered out of its
    output;
 3. whatever is left uncovered is repaired exactly, component by component,
@@ -35,7 +38,7 @@ from .graph import (
 )
 from .nomination import ALPHA, K_UNIFORM, ROUNDS, algorithm_a
 from .planarity import ClassPredicate
-from .runtime import LocalAlgorithm, RoundLedger, run_by_views
+from .runtime import LocalAlgorithm, RoundLedger, rule_error, run_by_views
 
 CONTROL = "linear:1"  # B's default control function, as parse_control reads it
 DIM = 2  # B's default dimension: that of planar graphs under a linear control function
@@ -131,30 +134,60 @@ class ErrorSetReport:
 @lru_cache(maxsize=65536)
 def _holds_ranked(predicate: ClassPredicate, n: int, edges: tuple[tuple[int, int], ...]) -> list[bool]:
     # Class predicates are isomorphism-invariant, so one verdict serves every
-    # view with the same order-preserving compact form; the first such view
-    # fills this memo.
+    # graph, view or whole component, with the same order-preserving compact
+    # form; the first such graph fills this memo.
     return []
+
+
+def _holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
+    """`predicate(h)`, memoised under the ranked form of h."""
+    labels, edges = ranked_form(h)
+    memo = _holds_ranked(predicate, len(labels), edges)
+    if not memo:
+        memo.append(predicate.test(h))
+    return memo[0]
 
 
 def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorithm:
     """Radius-`radius` rule flagging vertices whose view leaves the class."""
     if radius < 0:
         raise InputError(f"detection radius must be >= 0, got {radius}")
-
-    def rule(view) -> bool:
-        labels, edges = ranked_form(view.subgraph)
-        memo = _holds_ranked(predicate, len(labels), edges)
-        if not memo:
-            memo.append(predicate.test(view.subgraph))
-        return not memo[0]
-
-    return LocalAlgorithm(f"errors[{predicate.name},r={radius}]", radius, rule)
+    return LocalAlgorithm(
+        f"errors[{predicate.name},r={radius}]", radius, lambda view: not _holds(predicate, view.subgraph)
+    )
 
 
 def t_error_set(g: LabeledGraph, predicate: ClassPredicate, radius: int) -> VertexSet:
-    """All vertices whose radius-`radius` view falls outside the class."""
+    """All vertices whose radius-`radius` view falls outside the class.
+
+    The per-vertex reference: one view, and one memoised predicate call,
+    per vertex."""
     flags = run_by_views(g, detection_algorithm(predicate, radius))
     return frozenset(u for u, bad in flags.items() if bad)
+
+
+def component_error_set(g: LabeledGraph, predicate: ClassPredicate, radius: int) -> VertexSet:
+    """`t_error_set(g, predicate, radius)` for a hereditary class, component first.
+
+    A view is an induced subgraph of its center's connected component C, so
+    when G[C] is in the class no vertex of C is an error. Otherwise C's
+    errors are those of `t_error_set` on G[C]: a view of a vertex of C is
+    the same in G[C] as in g, host labels included. A predicate failure on
+    a whole component is reported as a `RuleError` at its smallest vertex.
+    """
+    if radius < 0:
+        raise InputError(f"detection radius must be >= 0, got {radius}")
+    comps = components(g, g.labels)
+    errors: set[int] = set()
+    for comp in comps:
+        h = g if len(comps) == 1 else g.induced(comp)
+        try:
+            holds = _holds(predicate, h)
+        except Exception as exc:  # noqa: BLE001 - categorised like a per-vertex rule failure
+            raise rule_error(min(comp), exc) from exc
+        if not holds:
+            errors |= t_error_set(h, predicate, radius)
+    return frozenset(errors)
 
 
 def _error_components(g: LabeledGraph, errors: VertexSet) -> tuple[tuple[VertexSet, ...], tuple[int, ...]]:
@@ -164,9 +197,12 @@ def _error_components(g: LabeledGraph, errors: VertexSet) -> tuple[tuple[VertexS
 
 
 def error_set(g: LabeledGraph, cfg: BConfig) -> ErrorSetReport:
-    """Detect errors at the configured radius and measure their spread."""
+    """Detect errors at the configured radius and measure their spread.
+
+    The error set is `component_error_set`'s, which equals the per-vertex
+    `t_error_set` for a hereditary predicate."""
     t = cfg.error_radius
-    errors = t_error_set(g, cfg.predicate, t)
+    errors = component_error_set(g, cfg.predicate, t)
     comps, diams = _error_components(g, errors)
     return ErrorSetReport(t, errors, comps, diams)
 

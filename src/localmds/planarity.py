@@ -7,7 +7,9 @@ validates the tester against an independent slow search for complete and
 complete-bipartite subdivisions on small graphs.
 
 Class predicates are assumed to describe isomorphism-closed, hereditary
-graph classes; neither property is checked.
+graph classes; neither property is checked. Algorithm B's error detection
+relies on heredity: it tests each connected component whole and looks at
+single vertices' views only inside components that fail.
 """
 from __future__ import annotations
 
@@ -33,8 +35,13 @@ class ClassPredicate:
     """Deterministic membership test for a hereditary graph class.
 
     The test must be isomorphism-invariant: the composition caches each
-    verdict under the order-preserving ranked form of the view it judged,
-    so isomorphic views share one answer.
+    verdict under the order-preserving ranked form of the graph it judged,
+    so isomorphic views share one answer. The class must be hereditary:
+    `composition.error_set` clears every vertex of a connected component
+    that passes the test without testing their views, so under a
+    non-hereditary test a vertex whose view fails inside a passing
+    component is not flagged, and the error set can be smaller than the
+    per-vertex `t_error_set`.
     """
 
     name: str

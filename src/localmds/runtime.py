@@ -55,13 +55,16 @@ class RoundLedger:
         return self.view_collection + self.algorithm_run + self.repair
 
 
+def rule_error(center: int, exc: Exception) -> RuleError:
+    """`exc` restated as a rule failure at `center`; the caller chains it."""
+    return RuleError(center, str(exc) if isinstance(exc, LocalMdsError) else f"{type(exc).__name__}: {exc}")
+
+
 def _apply(rule: Callable[[BallView], Any], view: BallView) -> Any:
     try:
         return rule(view)
-    except LocalMdsError as exc:
-        raise RuleError(view.center, str(exc)) from exc
     except Exception as exc:  # noqa: BLE001 - annotate any rule failure with its center
-        raise RuleError(view.center, f"{type(exc).__name__}: {exc}") from exc
+        raise rule_error(view.center, exc) from exc
 
 
 def run_by_views(g: LabeledGraph, alg: LocalAlgorithm) -> dict[int, Any]:

@@ -29,6 +29,11 @@ def random_graph(n: int, p: float, rng: random.Random) -> LabeledGraph:
     return LabeledGraph.from_edges(n, edges)
 
 
+def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
+    """g on its own labels, then h with its labels shifted past g's."""
+    return LabeledGraph.from_edges(g.n + h.n, list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
 def star(leaves: int) -> LabeledGraph:
     return LabeledGraph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete_graph, cycle, grid, path
+from conftest import complete_graph, cycle, disjoint_union, grid, path
 from localmds import (
     BConfig,
     ClassPredicate,
@@ -11,11 +11,13 @@ from localmds import (
     InvariantError,
     LabeledGraph,
     PLANAR,
+    RuleError,
     algorithm_a,
     algorithm_b,
     check_uniformity,
     error_set,
     generate,
+    is_planar,
     linear_control,
     mds_size,
     measure_delta,
@@ -26,8 +28,15 @@ from localmds import (
     t_error_set,
     verify_domination,
 )
+from localmds.composition import component_error_set
 
 CFG = BConfig(sub=planar_nomination(), predicate=PLANAR)
+
+
+def counted_planar(calls):
+    """A fresh planarity predicate, so no earlier verdict is cached for it,
+    that records every graph it is called on."""
+    return ClassPredicate("planar (counted)", lambda h: calls.append(h) or is_planar(h))
 
 
 class TestBConfig:
@@ -98,9 +107,47 @@ class TestErrorSet:
         with pytest.raises(InputError):
             t_error_set(path(3), PLANAR, -1)
 
+    def test_planar_component_takes_one_predicate_call(self):
+        # the per-vertex t_error_set makes 125 calls here, one per distinct ranked view
+        calls = []
+        cfg = BConfig(sub=planar_nomination(), predicate=counted_planar(calls))
+        g = grid(14, 14)
+        assert error_set(g, cfg).errors == frozenset()
+        assert calls == [g]
+
+    def test_planar_component_beside_a_gadget_is_cleared_whole(self):
+        calls = []
+        pred = counted_planar(calls)
+        plane = grid(6, 6)
+        graft = generate(GeneratorSpec("gadgetGraft", {"n": 30, "gadgets": 1}, seed=6))
+        g = disjoint_union(plane, graft)
+        errors = component_error_set(g, pred, CFG.error_radius)
+        assert errors == t_error_set(g, PLANAR, CFG.error_radius)
+        assert errors and errors.isdisjoint(plane.labels)
+        # only the whole-component call sees the grid; every view call is in the graft
+        seeing_plane = [h for h in calls if not set(h.labels).isdisjoint(plane.labels)]
+        assert seeing_plane == [plane]
+        assert len(calls) > 2
+
+    def test_component_failure_is_a_rule_error_at_its_smallest_vertex(self):
+        def fails_off_the_first_path(h):
+            if 3 in h.labels:
+                raise ValueError("boom")
+            return True
+
+        g = disjoint_union(path(3), path(4))
+        with pytest.raises(RuleError, match="vertex 3: ValueError: boom") as info:
+            component_error_set(g, ClassPredicate("fails", fails_off_the_first_path), 2)
+        assert info.value.center == 3
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_component_negative_radius(self):
+        with pytest.raises(InputError):
+            component_error_set(path(3), PLANAR, -1)
+
     def test_membership_matches_per_vertex_definition(self):
         # u is an error exactly when the class test fails on its own ball
-        from localmds import ball, is_planar
+        from localmds import ball
 
         g = generate(GeneratorSpec("gadgetGraft", {"n": 30, "gadgets": 1}, seed=6))
         for t in (1, 5):
@@ -193,6 +240,11 @@ class TestAlgorithmB:
             assert res.repair == frozenset()
             assert res.output == algorithm_a(g)
             assert res.ledger.total == CFG.error_radius + 2
+
+    def test_large_planar_host_has_no_errors(self):
+        res = algorithm_b(grid(40, 40), CFG)
+        assert res.errors.errors == frozenset()
+        assert res.errors.delta == 0
 
     def test_k5(self):
         g = complete_graph(5)

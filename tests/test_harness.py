@@ -4,6 +4,7 @@ import pytest
 
 from conftest import cycle, grid, path, random_graph
 from localmds import (
+    ClassPredicate,
     EnumerationBudgetError,
     GeneratorSpec,
     InputError,
@@ -19,6 +20,7 @@ from localmds import (
     verify_domination,
     write_csv,
 )
+from localmds import harness
 from localmds.harness import error_category
 
 SUITE = {
@@ -91,6 +93,20 @@ class TestErrorCategory:
             wrapped = RuleError(0, str(exc))
             wrapped.__cause__ = exc
             assert error_category(wrapped) == "resource"
+
+    @pytest.mark.parametrize(
+        "exc, category", [(ValueError("boom"), "internal"), (RecursionError("depth"), "resource")]
+    )
+    def test_b_component_check_failure_keeps_its_category(self, monkeypatch, exc, category):
+        # B checks a whole planar component with one predicate call; a failure
+        # there is categorised like one inside the per-vertex rule
+        def raises(h):
+            raise exc
+
+        monkeypatch.setattr(harness, "PLANAR", ClassPredicate("raises", raises))
+        report = run_cell(grid(3, 3), {}, {"alg": "B"})
+        assert report.status == category
+        assert report.message.startswith("rule failed at vertex 0: ")
 
     def test_other_categories(self):
         assert error_category(InputError("x")) == "input"

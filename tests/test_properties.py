@@ -1,10 +1,13 @@
 """Differential property tests: the fast paths against the slow references
-in `reference.py`, and the view executor against the flooding executor, on
-small graphs drawn by hypothesis (see the settings profile in conftest.py)."""
+in `reference.py`, the view executor against the flooding executor, and
+B's component-first error set against the per-vertex one, on small graphs
+drawn by hypothesis (see the settings profile in conftest.py)."""
 from hypothesis import given
 from hypothesis import strategies as st
 
 from localmds import (
+    PLANAR,
+    ClassPredicate,
     LabeledGraph,
     LocalAlgorithm,
     all_minimum_dominating_sets,
@@ -14,7 +17,10 @@ from localmds import (
     ranked_form,
     run_by_messages,
     run_by_views,
+    t_error_set,
 )
+from localmds.composition import component_error_set
+from conftest import disjoint_union
 from reference import exhaustive_all_mds, exhaustive_mds_size, strictly_dominated_by_pairs
 
 
@@ -25,6 +31,15 @@ def graphs(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return LabeledGraph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+
+
+@st.composite
+def unions(draw):
+    """One graph from `graphs()`, or the disjoint union of two."""
+    g = draw(graphs())
+    if not draw(st.booleans()):
+        return g
+    return disjoint_union(g, draw(graphs()))
 
 
 @st.composite
@@ -66,3 +81,14 @@ def _whole_view(view):
 def test_flooded_views_equal_direct_views(g, radius):
     alg = LocalAlgorithm("whole-view", radius, _whole_view)
     assert run_by_views(g, alg) == run_by_messages(g, alg)[0]
+
+
+MAX_DEGREE_TWO = ClassPredicate("max-degree-2", lambda h: all(h.degree(v) <= 2 for v in h.labels))
+
+
+@given(unions(), st.sampled_from([PLANAR, MAX_DEGREE_TWO]))
+def test_component_error_set_equals_per_vertex_reference(g, predicate):
+    # exact for hereditary classes; the draws include disconnected and
+    # non-planar graphs, and components of both kinds side by side
+    for radius in range(5):
+        assert component_error_set(g, predicate, radius) == t_error_set(g, predicate, radius)
