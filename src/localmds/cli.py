@@ -115,6 +115,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.target and not args.set:
+        raise InputError("--target needs --set")
     g = read_edge_list(args.graph)
     verdicts: dict[str, bool] = {}
     if args.set:
@@ -182,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify domination and/or planarity")
     p.add_argument("--graph", required=True)
     p.add_argument("--set", help="vertex-set file with the claimed dominating set")
-    p.add_argument("--target", help="vertex-set file with the set to dominate (default: all)")
+    p.add_argument("--target", help="vertex-set file with the set to dominate (default: all); needs --set")
     p.add_argument("--planar", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 

@@ -23,7 +23,6 @@ error set: T + delta + 2 in total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from .domination import DEFAULT_BUDGET, minimum_dominating_set, _vertex_set
@@ -38,7 +37,7 @@ from .graph import (
 )
 from .nomination import ALPHA, K_UNIFORM, ROUNDS, algorithm_a
 from .planarity import ClassPredicate
-from .runtime import LocalAlgorithm, RoundLedger, rule_error, run_by_views
+from .runtime import LocalAlgorithm, RoundLedger, memoised, rule_error, run_by_views
 
 CONTROL = "linear:1"  # B's default control function, as parse_control reads it
 DIM = 2  # B's default dimension: that of planar graphs under a linear control function
@@ -111,8 +110,9 @@ class BConfig:
 
     @property
     def claimed_ratio(self) -> int:
-        """Reported ratio alpha*(dim+1)+1; holds when the configured control
-        function truly certifies dimension `dim` for the input class."""
+        """The ratio alpha*(dim+1)+1 that the tests check uniformity against;
+        it holds when the configured control function truly certifies
+        dimension `dim` for the input class. No report or CSV carries it."""
         return self.sub.alpha * (self.dim + 1) + 1
 
 
@@ -131,21 +131,15 @@ class ErrorSetReport:
         return max(self.weak_diameters, default=0)
 
 
-@lru_cache(maxsize=65536)
-def _holds_ranked(predicate: ClassPredicate, n: int, edges: tuple[tuple[int, int], ...]) -> list[bool]:
-    # Class predicates are isomorphism-invariant, so one verdict serves every
-    # graph, view or whole component, with the same order-preserving compact
-    # form; the first such graph fills this memo.
-    return []
+# Verdicts keyed on (predicate, n, ranked edges): a class predicate is isomorphism-invariant,
+# so graphs with the same ranked form share one call. len(VERDICTS) counts the calls made.
+VERDICTS: dict[tuple, bool] = {}
 
 
 def _holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
     """`predicate(h)`, memoised under the ranked form of h."""
     labels, edges = ranked_form(h)
-    memo = _holds_ranked(predicate, len(labels), edges)
-    if not memo:
-        memo.append(predicate.test(h))
-    return memo[0]
+    return memoised(VERDICTS, (predicate, len(labels), edges), lambda: predicate.test(h))
 
 
 def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorithm:

@@ -4,6 +4,7 @@ A suite is a JSON-able dict:
 
     {
       "oracle_max_n": 25,            # exact optimum only up to this size
+      "budget": 1000000,             # node cap of each repair search and oracle call
       "graphs": [{"family": "grid", "params": {"rows": 3, "cols": 4}, "seed": 0}, ...],
       "algorithms": [{"alg": "A"},
                      {"alg": "B", "control_fn": "linear:1", "k": 4,
@@ -33,26 +34,6 @@ from .nomination import ALPHA, K_UNIFORM, algorithm_a_run
 from .planarity import PLANAR
 
 ORACLE_MAX_N = 25  # the exact optimum is computed only up to this many vertices
-
-_CSV_COLUMNS = (
-    "family",
-    "params",
-    "seed",
-    "n",
-    "m",
-    "alg",
-    "config",
-    "status",
-    "output_size",
-    "optimum",
-    "lower_bound",
-    "ratio",
-    "ratio_upper_bound",
-    "error_count",
-    "delta",
-    "rounds_total",
-)
-
 
 @dataclass
 class RunReport:
@@ -185,19 +166,37 @@ def run_cell(
     return report
 
 
+def _suite_int(value, where: str) -> int:
+    if type(value) is not int:
+        raise InputError(f"suite {where} must be an integer, got {value!r}")
+    return value
+
+
+def _suite_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"suite {where} must be an object, got {value!r}")
+    return value
+
+
 def experiment(suite: dict) -> tuple[list[RunReport], dict]:
-    """Run every (graph, algorithm) cell of a suite; return rows + aggregates."""
-    if not isinstance(suite, dict) or "graphs" not in suite or "algorithms" not in suite:
-        raise InputError("suite must be a dict with 'graphs' and 'algorithms'")
-    oracle_max_n = int(suite.get("oracle_max_n", ORACLE_MAX_N))
-    budget = int(suite.get("budget", DEFAULT_BUDGET))
+    """Run every (graph, algorithm) cell of a suite; return rows + aggregates.
+
+    A malformed suite raises InputError, naming the entry, before any cell runs."""
+    entries = ("graphs", "algorithms")
+    if not isinstance(suite, dict) or not all(isinstance(suite.get(k), (list, tuple)) for k in entries):
+        raise InputError("suite must be a dict with 'graphs' and 'algorithms' lists")
+    oracle_max_n = _suite_int(suite.get("oracle_max_n", ORACLE_MAX_N), "oracle_max_n")
+    budget = _suite_int(suite.get("budget", DEFAULT_BUDGET), "budget")
+    for i, alg_config in enumerate(suite["algorithms"]):
+        _suite_object(alg_config, f"algorithms[{i}]")
+    specs = []
+    for i, gspec in enumerate(suite["graphs"]):
+        gspec = _suite_object(gspec, f"graphs[{i}]")
+        params = _suite_object(gspec.get("params", {}), f"graphs[{i}].params")
+        seed = _suite_int(gspec.get("seed", 0), f"graphs[{i}].seed")
+        specs.append(GeneratorSpec(str(gspec.get("family", "")), dict(params), seed))
     reports: list[RunReport] = []
-    for gspec in suite["graphs"]:
-        spec = GeneratorSpec(
-            family=str(gspec.get("family", "")),
-            params=dict(gspec.get("params", {})),
-            seed=int(gspec.get("seed", 0)),
-        )
+    for spec in specs:
         descriptor = {"family": spec.family, "params": dict(spec.params), "seed": spec.seed}
         try:
             g = generate(spec)
@@ -251,31 +250,33 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# The CSV layout: each column's header and how a report fills it.
+_CSV_TABLE = (
+    ("family", lambda r: r.graph.get("family")),
+    ("params", lambda r: r.graph.get("params", {})),
+    ("seed", lambda r: r.graph.get("seed")),
+    ("n", lambda r: r.graph.get("n")),
+    ("m", lambda r: r.graph.get("m")),
+    ("alg", lambda r: r.algorithm),
+    ("config", lambda r: r.config),
+    ("status", lambda r: r.status),
+    ("output_size", lambda r: r.output_size),
+    ("optimum", lambda r: r.optimum),
+    ("lower_bound", lambda r: r.lower_bound),
+    ("ratio", lambda r: r.ratio),
+    ("ratio_upper_bound", lambda r: r.ratio_upper_bound),
+    ("error_count", lambda r: len(r.errors["errors"]) if r.errors else None),
+    ("delta", lambda r: r.errors["delta"] if r.errors else None),
+    ("rounds_total", lambda r: r.ledger["total"] if r.ledger else None),
+)
+
+
 def write_csv(reports: Iterable[RunReport], path) -> None:
     """Write report rows as CSV; byte-identical for identical suites."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(column for column, _ in _CSV_TABLE)
     for r in reports:
-        writer.writerow(
-            [
-                _csv_cell(r.graph.get("family")),
-                _csv_cell(r.graph.get("params", {})),
-                _csv_cell(r.graph.get("seed")),
-                _csv_cell(r.graph.get("n")),
-                _csv_cell(r.graph.get("m")),
-                _csv_cell(r.algorithm),
-                _csv_cell(r.config),
-                _csv_cell(r.status),
-                _csv_cell(r.output_size),
-                _csv_cell(r.optimum),
-                _csv_cell(r.lower_bound),
-                _csv_cell(r.ratio),
-                _csv_cell(r.ratio_upper_bound),
-                _csv_cell(len(r.errors["errors"]) if r.errors else None),
-                _csv_cell(r.errors["delta"] if r.errors else None),
-                _csv_cell(r.ledger["total"] if r.ledger else None),
-            ]
-        )
+        writer.writerow(_csv_cell(value(r)) for _, value in _CSV_TABLE)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size, _vertex_set
 from .errors import InputError, InvariantError
 from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood
-from .runtime import LocalAlgorithm, RoundLedger, run_by_views
+from .runtime import LocalAlgorithm, RoundLedger, memoised, run_by_views
 
 VIEW_RADIUS = 4
 TARGET_RADIUS = 3
@@ -44,30 +43,28 @@ class NominationDecision:
     nominee: int
 
 
-@lru_cache(maxsize=65536)
-def _best_ranked(n: int, edges: tuple[tuple[int, int], ...], target: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # One memo per order-preserving compaction of a view: isomorphic views
-    # with identically ordered labels share one computation, made on the
-    # first such view and stored in ranks. A failed search leaves it empty.
-    return []
+# Best sets in ranks, keyed on (n, ranked edges, target ranks): views with the same
+# ranked form share one search. len(BEST_SETS) counts the searches made.
+BEST_SETS: dict[tuple, tuple[int, ...]] = {}
 
 
 def best_local_set(view: BallView) -> VertexSet:
     """Best minimum dominating set of the distance-<=3 part of a radius-4 view.
 
-    Keyed on the view's ranked form; only a cache miss builds the view's
-    subgraph, and searches it.
+    Memoised in BEST_SETS under the view's ranked form; only a miss builds
+    the view's subgraph, and searches it.
     """
     if view.radius != VIEW_RADIUS:
         raise InputError(f"nomination rule needs radius-{VIEW_RADIUS} views, got {view.radius}")
     near = frozenset(v for v, d in view.dist.items() if d <= TARGET_RADIUS)
     labels, edges = view.ranked
     pos = {v: i for i, v in enumerate(labels)}
-    memo = _best_ranked(len(labels), edges, tuple(sorted(pos[v] for v in near)))
-    if not memo:
-        best = best_minimum_dominating_set(view.subgraph, near, compare=near)
-        memo.append(tuple(sorted(pos[v] for v in best)))
-    return frozenset(labels[i] for i in memo[0])
+
+    def search() -> tuple[int, ...]:
+        return tuple(sorted(pos[v] for v in best_minimum_dominating_set(view.subgraph, near, compare=near)))
+
+    key = (len(labels), edges, tuple(sorted(pos[v] for v in near)))
+    return frozenset(labels[i] for i in memoised(BEST_SETS, key, search))
 
 
 def nomination_rule(view: BallView) -> NominationDecision:

@@ -19,10 +19,12 @@ restricted to the vertices within `radius` of the center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 from .errors import InputError, LocalMdsError, RuleError
 from .graph import BallView, LabeledGraph, ball
+
+MEMO_SIZE = 65536  # keys each `memoised` memo keeps, dropping the oldest first
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,16 @@ class RoundLedger:
     @property
     def total(self) -> int:
         return self.view_collection + self.algorithm_run + self.repair
+
+
+def memoised(memo: dict, key: Hashable, compute: Callable[[], Any]) -> Any:
+    """`memo[key]`, filled with `compute()` on a miss; a `compute` that raises stores nothing."""
+    if key not in memo:
+        value = compute()
+        while len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return memo[key]
 
 
 def rule_error(center: int, exc: Exception) -> RuleError:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from localmds import read_edge_list, write_edge_list, write_vertex_set
 from localmds.cli import main
 from conftest import grid, path
@@ -135,6 +137,16 @@ class TestVerify:
         assert code == 1
         assert json.loads(stdout) == {"planar": False}
 
+    def test_verify_target_needs_set(self, tmp_path, capsys):
+        gfile = tmp_path / "g.edges"
+        write_edge_list(path(3), gfile)
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--graph", str(gfile), "--planar", "--target", str(tmp_path / "nothere.txt"),
+        )
+        assert code == 2 and stdout == ""
+        error = json.loads(stderr)["error"]
+        assert error["category"] == "input" and "--target needs --set" in error["message"]
+
     def test_verify_nothing_requested(self, tmp_path, capsys):
         gfile = tmp_path / "g.edges"
         write_edge_list(path(3), gfile)
@@ -173,3 +185,24 @@ class TestMeasure:
         sfile.write_text("{nope")
         code, _, stderr = run_cli(capsys, "measure", "--suite", str(sfile), "-o", str(tmp_path / "r.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "change, entry",
+        [
+            ({"algorithms": ["A"]}, "algorithms[0]"),
+            ({"graphs": [5]}, "graphs[0]"),
+            ({"oracle_max_n": "many"}, "oracle_max_n"),
+            ({"graphs": [{"family": "path", "params": [["n", 4]]}]}, "graphs[0].params"),
+            ({"graphs": [{"family": "path", "params": {"n": 4}, "seed": 1.5}]}, "graphs[0].seed"),
+            ({"budget": None}, "budget"),
+        ],
+    )
+    def test_measure_malformed_suite(self, tmp_path, capsys, change, entry):
+        suite = {"graphs": [{"family": "path", "params": {"n": 4}}], "algorithms": [{"alg": "A"}], **change}
+        sfile = tmp_path / "suite.json"
+        sfile.write_text(json.dumps(suite))
+        csv_out = tmp_path / "r.csv"
+        code, stdout, stderr = run_cli(capsys, "measure", "--suite", str(sfile), "-o", str(csv_out))
+        assert code == 2 and stdout == "" and not csv_out.exists()
+        error = json.loads(stderr)["error"]
+        assert error["category"] == "input" and entry in error["message"]

@@ -136,7 +136,7 @@ class TestAlgorithmAProperties:
             seen.append(h)
             return best_minimum_dominating_set(h, *args, **kwargs)
 
-        nomination._best_ranked.cache_clear()
+        nomination.BEST_SETS.clear()
         monkeypatch.setattr(nomination, "best_minimum_dominating_set", recorder)
         g = grid(6, 8)
         assert verify_domination(g, algorithm_a(g), g.labels)
@@ -159,7 +159,7 @@ class TestAlgorithmAProperties:
             searches.append(h)
             return best_minimum_dominating_set(h, *args, **kwargs)
 
-        nomination._best_ranked.cache_clear()
+        nomination.BEST_SETS.clear()
         monkeypatch.setattr(LabeledGraph, "induced", counting_induced)
         monkeypatch.setattr(nomination, "best_minimum_dominating_set", counting_search)
         g = grid(10, 10)

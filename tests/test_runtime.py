@@ -1,18 +1,26 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from conftest import cycle, path, random_graph
+from conftest import cycle, grid, path, random_graph
+import localmds
+from localmds import composition, nomination, runtime
 from localmds import (
     ALGORITHM_A,
+    PLANAR,
     GeneratorSpec,
     InputError,
     LabeledGraph,
     LocalAlgorithm,
     RoundLedger,
     RuleError,
+    algorithm_a,
     ball,
     generate,
     run_by_messages,
     run_by_views,
+    t_error_set,
 )
 
 MIN_LABEL_LOCAL = LocalAlgorithm("local-min", 1, lambda view: view.center == min(view.vertices))
@@ -157,3 +165,71 @@ class TestRoundLedger:
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):
             LocalAlgorithm("bad", -2, lambda view: None)
+
+
+class TestMemoised:
+    def test_best_sets_hold_one_key_per_distinct_search(self):
+        # the 100 views of the 10x10 grid have 81 distinct ranked forms
+        nomination.BEST_SETS.clear()
+        algorithm_a(grid(10, 10))
+        assert len(nomination.BEST_SETS) == 81
+        algorithm_a(grid(10, 10))
+        assert len(nomination.BEST_SETS) == 81
+
+    def test_verdicts_hold_one_key_per_predicate_call(self):
+        # radius-15 views of a 40-vertex path are paths of 16..31 vertices
+        composition.VERDICTS.clear()
+        t_error_set(path(40), PLANAR, 15)
+        assert len(composition.VERDICTS) == 16
+
+    def test_a_raising_compute_stores_nothing(self):
+        memo, calls = {}, []
+
+        def flaky():
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("budget")
+            return 7
+
+        with pytest.raises(ValueError):
+            runtime.memoised(memo, "k", flaky)
+        assert memo == {}
+        assert runtime.memoised(memo, "k", flaky) == 7
+        assert runtime.memoised(memo, "k", flaky) == 7
+        assert memo == {"k": 7} and len(calls) == 2
+
+    def test_memo_size_bounds_every_memo(self, monkeypatch):
+        g = grid(6, 8)
+        expected = algorithm_a(g)
+
+        class PeakDict(dict):
+            peak = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.peak = max(self.peak, len(self))
+
+        memo = PeakDict()
+        monkeypatch.setattr(runtime, "MEMO_SIZE", 3)
+        monkeypatch.setattr(nomination, "BEST_SETS", memo)
+        assert algorithm_a(g) == expected
+        assert memo.peak == len(memo) == 3
+        fifo = {}
+        for key in range(5):
+            runtime.memoised(fifo, key, lambda: key)
+        assert list(fifo) == [2, 3, 4]  # the oldest keys went first
+
+    def test_no_function_caches_in_the_package(self):
+        # every memo is a named dict whose size can be read; a hidden
+        # functools cache would escape that
+        offenders = []
+        for source in sorted(Path(localmds.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                    names = {node.attr}
+                else:
+                    continue
+                offenders += [f"{source.name}:{node.lineno} {name}" for name in names & {"lru_cache", "cache"}]
+        assert offenders == []
