@@ -33,6 +33,8 @@ from .harness import ORACLE_MAX_N, error_category, experiment, run_cell, write_c
 from .nomination import ALPHA, K_UNIFORM
 from .planarity import is_planar
 
+EXIT_CODES = {"ok": 0, "input": 2, "resource": 3}  # by run status or error category; any other exits 4
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
@@ -93,9 +95,7 @@ def _cmd_run(args) -> int:
             "report": str(args.output) if args.output else None,
         }
     )
-    if report.status == "ok":
-        return 0
-    return {"input": 2, "resource": 3}.get(report.status, 4)
+    return EXIT_CODES.get(report.status, 4)
 
 
 def _cmd_oracle(args) -> int:
@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except LocalMdsError as exc:
         category = error_category(exc)
         print(json.dumps({"error": {"category": category, "message": str(exc)}}), file=sys.stderr)
-        return {"input": 2, "resource": 3}.get(category, 4)
+        return EXIT_CODES.get(category, 4)
     except OSError as exc:
         print(json.dumps({"error": {"category": "io", "message": str(exc)}}), file=sys.stderr)
         return 2

@@ -25,16 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .domination import DEFAULT_BUDGET, minimum_dominating_set, _vertex_set
-from .errors import InputError, InvariantError
-from .graph import (
-    LabeledGraph,
-    VertexSet,
-    components,
-    neighborhood,
-    ranked_form,
-    weak_diameter,
-)
+from .domination import DEFAULT_BUDGET, minimum_dominating_set
+from .errors import InputError, InvariantError, require_int
+from .graph import LabeledGraph, VertexSet, components, neighborhood, ranked_form, vertex_set, weak_diameter
 from .nomination import ALPHA, K_UNIFORM, ROUNDS, algorithm_a
 from .planarity import ClassPredicate
 from .runtime import LocalAlgorithm, RoundLedger, memoised, rule_error, run_by_views
@@ -55,8 +48,7 @@ class ControlFunction:
 
 
 def linear_control(c: int = 1) -> ControlFunction:
-    if c < 1:
-        raise InputError(f"linear control factor must be >= 1, got {c}")
+    require_int(c, "linear control factor", 1)
     return ControlFunction(f"linear:{c}", lambda x: c * x)
 
 
@@ -65,9 +57,11 @@ def parse_control(spec: str) -> ControlFunction:
     kind, _, arg = spec.partition(":")
     if kind == "linear":
         try:
-            return linear_control(int(arg) if arg else 1)
+            c = int(arg) if arg else 1
         except ValueError:
             pass
+        else:
+            return linear_control(c)
     raise InputError(f"unknown control function {spec!r} (expected 'linear:c')")
 
 
@@ -95,8 +89,9 @@ class BConfig:
     dim: int = DIM
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise InputError(f"dimension must be >= 0, got {self.dim}")
+        require_int(self.sub.k, "uniformity scale k", 0)
+        require_int(self.sub.alpha, "uniformity ratio alpha")
+        require_int(self.dim, "dimension", 0)
         probe = [self.control(x) for x in range(2 * self.sub.k + 3)]
         if any(v < 0 for v in probe):
             raise InputError("control function must be non-negative")
@@ -144,8 +139,7 @@ def _holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
 
 def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorithm:
     """Radius-`radius` rule flagging vertices whose view leaves the class."""
-    if radius < 0:
-        raise InputError(f"detection radius must be >= 0, got {radius}")
+    require_int(radius, "detection radius", 0)
     return LocalAlgorithm(
         f"errors[{predicate.name},r={radius}]", radius, lambda view: not _holds(predicate, view.subgraph)
     )
@@ -169,8 +163,7 @@ def component_error_set(g: LabeledGraph, predicate: ClassPredicate, radius: int)
     the same in G[C] as in g, host labels included. A predicate failure on
     a whole component is reported as a `RuleError` at its smallest vertex.
     """
-    if radius < 0:
-        raise InputError(f"detection radius must be >= 0, got {radius}")
+    require_int(radius, "detection radius", 0)
     comps = components(g, g.labels)
     errors: set[int] = set()
     for comp in comps:
@@ -204,7 +197,7 @@ def error_set(g: LabeledGraph, cfg: BConfig) -> ErrorSetReport:
 def measure_delta(g: LabeledGraph, errors: VertexSet) -> int:
     """Largest weak diameter of a component of the distance-2 neighborhood
     of `errors`; 0 when the error set is empty."""
-    errors = _vertex_set(g, errors, "errors")
+    errors = vertex_set(g, errors, "errors")
     _, diams = _error_components(g, errors)
     return max(diams, default=0)
 
@@ -225,8 +218,8 @@ def repair_step(
     independently; the union is exact because an uncovered vertex's whole
     closed neighborhood sits inside a single component.
     """
-    dominated_by = _vertex_set(g, dominated_by, "dominated_by")
-    errors = _vertex_set(g, errors, "errors")
+    dominated_by = vertex_set(g, dominated_by, "dominated_by")
+    errors = vertex_set(g, errors, "errors")
     uncovered = frozenset(g.labels) - neighborhood(g, dominated_by, 1)
     if not uncovered:
         return frozenset()
@@ -258,7 +251,7 @@ class BRunResult:
 def algorithm_b(g: LabeledGraph, cfg: BConfig, *, budget: int = DEFAULT_BUDGET) -> BRunResult:
     """Run the composition: detect, filter, repair."""
     report = error_set(g, cfg)
-    sub_output = _vertex_set(g, cfg.sub.run(g), f"{cfg.sub.name} output")
+    sub_output = vertex_set(g, cfg.sub.run(g), f"{cfg.sub.name} output")
     filtered = sub_output - report.errors
     repaired = repair_step(g, filtered, report.errors, budget=budget)
     ledger = RoundLedger(view_collection=report.radius + 1, repair=report.delta + 1)

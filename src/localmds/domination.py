@@ -25,24 +25,16 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EnumerationBudgetError, InputError, InvariantError
-from .graph import LabeledGraph, VertexSet, neighborhood
+from .errors import EnumerationBudgetError, InvariantError
+from .graph import LabeledGraph, VertexSet, neighborhood, vertex_set
 
 DEFAULT_BUDGET = 10**6
 
 
-def _vertex_set(g: LabeledGraph, s: Iterable[int], name: str) -> VertexSet:
-    out = frozenset(s)
-    for v in out:
-        if v not in g:
-            raise InputError(f"{name} contains {v!r}, which is not a vertex")
-    return out
-
-
 def verify_domination(g: LabeledGraph, chosen: Iterable[int], target: Iterable[int]) -> bool:
     """True iff every target vertex lies in the closed neighborhood of `chosen`."""
-    chosen = _vertex_set(g, chosen, "chosen")
-    target = _vertex_set(g, target, "target")
+    chosen = vertex_set(g, chosen, "chosen")
+    target = vertex_set(g, target, "target")
     return target <= neighborhood(g, chosen, 1)
 
 
@@ -71,7 +63,7 @@ class _Instance:
     def __init__(self, g: LabeledGraph, target: Iterable[int], query: str, budget: int):
         self.labels = g.labels
         self.pos, self.closed = _closed_masks(g)
-        self.target_mask = tmask = self.mask(_vertex_set(g, target, "target"))
+        self.target_mask = tmask = self.mask(vertex_set(g, target, "target"))
         self.cands = [i for i, m in enumerate(self.closed) if m & tmask]
         self.budget = budget
         self.used = 0  # search nodes so far, over the whole query
@@ -283,7 +275,7 @@ def strictly_dominated(g: LabeledGraph, within: Iterable[int] | None = None) -> 
     they range over the whole graph.
     """
     pos, closed = _closed_masks(g)
-    scope = _vertex_set(g, within, "within") if within is not None else g.labels
+    scope = vertex_set(g, within, "within") if within is not None else g.labels
     return frozenset(g.labels[v] for v in _bits(_dominated(closed, sum(1 << pos[v] for v in scope))))
 
 
@@ -321,7 +313,7 @@ def best_minimum_dominating_set(
     optimum from later candidates, so the search could only say yes.
     """
     inst = _Instance(g, target, "best_minimum_dominating_set", budget)
-    scope = inst.mask(_vertex_set(g, compare, "compare")) if compare is not None else (1 << g.n) - 1
+    scope = inst.mask(vertex_set(g, compare, "compare")) if compare is not None else (1 << g.n) - 1
     closed = inst.closed
     discard = _dominated(closed, scope)
     allowed = [c for c in inst.cands if not discard >> c & 1]

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy shared by every module, and its one integer-input check.
 
 Library code raises these; the CLI maps them onto exit codes and a
 machine-readable error category (see cli.py).
@@ -31,3 +31,18 @@ class RuleError(LocalMdsError, RuntimeError):
     def __init__(self, center: int, message: str):
         self.center = center
         super().__init__(f"rule failed at vertex {center}: {message}")
+
+
+def require_int(value: object, where: str, minimum: int | None = None) -> int:
+    """`value` if it is an int (a bool is not) of at least `minimum`; else InputError naming `where`.
+
+    The one check for every integer a caller hands in: sizes, radii, round
+    counts, seeds, budgets, generator parameters and B's constants. Nothing
+    is coerced, so 5.7, "5" and True are rejected; text is parsed by the
+    readers before it gets here.
+    """
+    if type(value) is not int:
+        raise InputError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{where} must be >= {minimum}, got {value}")
+    return value

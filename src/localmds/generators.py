@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, require_int
 from .graph import LabeledGraph
 from .planarity import is_planar
 
@@ -44,7 +44,7 @@ class GeneratorSpec:
         if self.family == "toroidalGrid":
             return 2
         if self.family == "gadgetGraft":
-            return int(self.params.get("gadgets", 1))
+            return _int_param(self.params, "gadgets", 1, default=1)
         return None
 
 
@@ -53,13 +53,7 @@ def _int_param(params: Mapping[str, object], key: str, minimum: int, default=Non
         if default is not None:
             return default
         raise InputError(f"missing parameter {key!r}")
-    try:
-        value = int(params[key])  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise InputError(f"parameter {key!r} must be an int, got {params[key]!r}") from None
-    if value < minimum:
-        raise InputError(f"parameter {key!r} must be >= {minimum}, got {value}")
-    return value
+    return require_int(params[key], f"parameter {key!r}", minimum)
 
 
 def _path_edges(n: int) -> list[tuple[int, int]]:
@@ -217,7 +211,7 @@ def generate(spec: GeneratorSpec) -> LabeledGraph:
     """Generate the graph a spec describes; deterministic given the seed."""
     if spec.family not in _GENERATORS:
         raise InputError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
-    rng = random.Random(spec.seed)
+    rng = random.Random(require_int(spec.seed, "seed"))
     g = _GENERATORS[spec.family](spec.params, rng)
     if spec.family in _PLANAR_FAMILIES and not is_planar(g):
         raise InvariantError(f"{spec.family} generator produced a non-planar graph")

@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 VertexSet = frozenset[int]
 
@@ -47,8 +47,7 @@ class LabeledGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "LabeledGraph":
         """Build a canonical host graph on labels 0..n-1 from an edge list."""
-        if type(n) is not int or n < 0:
-            raise InputError(f"vertex count must be a non-negative int, got {n!r}")
+        require_int(n, "vertex count", 0)
         adj: dict[int, set[int]] = {v: set() for v in range(n)}
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -106,10 +105,7 @@ class LabeledGraph:
 
     def induced(self, keep: Iterable[int]) -> "LabeledGraph":
         """Induced subgraph on `keep`; labels are preserved."""
-        ks = frozenset(keep)
-        for v in ks:
-            if v not in self._adj:
-                raise InputError(f"unknown vertex {v!r}")
+        ks = vertex_set(self, keep, "vertex set")
         return LabeledGraph({v: self._adj[v] & ks for v in ks})
 
     def is_canonical(self) -> bool:
@@ -162,14 +158,22 @@ class BallView:
         return mine == theirs and self.subgraph == other.subgraph
 
 
+def vertex_set(g: LabeledGraph, s: Iterable[int], name: str) -> VertexSet:
+    """`s` as a frozenset, if every member is a vertex of g; else InputError naming `name`.
+
+    The one membership check for a vertex set a caller hands in.
+    """
+    out = frozenset(s)
+    if not g._adj.keys() >= out:
+        stray = next(v for v in out if v not in g)
+        raise InputError(f"{name} contains {stray!r}, which is not a vertex")
+    return out
+
+
 def _bfs(g: LabeledGraph, sources: Iterable[int], radius: int | None = None) -> dict[int, int]:
     """Hop distance to the nearest source for every vertex within `radius`
     of `sources` (every reachable vertex when `radius` is None)."""
-    dist = {}
-    for v in sources:
-        if v not in g:
-            raise InputError(f"unknown vertex {v!r}")
-        dist[v] = 0
+    dist = {v: 0 for v in vertex_set(g, sources, "sources")}
     frontier = list(dist)
     d = 0
     while frontier and (radius is None or d < radius):
@@ -191,17 +195,13 @@ def distances(g: LabeledGraph, source: int) -> dict[int, int]:
 
 def ball(g: LabeledGraph, center: int, radius: int) -> BallView:
     """The radius-`radius` ball around `center`, as an induced view."""
-    if radius < 0:
-        raise InputError(f"radius must be >= 0, got {radius}")
-    dist = _bfs(g, (center,), radius)
+    dist = _bfs(g, (center,), require_int(radius, "radius", 0))
     return BallView(center, radius, dist, g)
 
 
 def neighborhood(g: LabeledGraph, seeds: Iterable[int], radius: int = 1) -> VertexSet:
     """Every vertex within distance `radius` of the seed set (seeds included)."""
-    if radius < 0:
-        raise InputError(f"radius must be >= 0, got {radius}")
-    return frozenset(_bfs(g, seeds, radius))
+    return frozenset(_bfs(g, seeds, require_int(radius, "radius", 0)))
 
 
 def components(g: LabeledGraph, within: Iterable[int]) -> list[VertexSet]:
@@ -226,10 +226,7 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
     The empty set and singletons have weak diameter 0. Raises InputError
     when `s` spans more than one connected component of g.
     """
-    ss = frozenset(s)
-    for v in ss:
-        if v not in g:
-            raise InputError(f"unknown vertex {v!r}")
+    ss = vertex_set(g, s, "vertex set")
     if len(ss) <= 1:
         return 0
     first, *rest = ss

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .composition import CONTROL, DIM, BConfig, algorithm_b, parse_control, planar_nomination
 from .domination import DEFAULT_BUDGET, mds_size, verify_domination
-from .errors import EnumerationBudgetError, InputError, InvariantError, LocalMdsError
+from .errors import EnumerationBudgetError, InputError, InvariantError, LocalMdsError, require_int
 from .generators import GeneratorSpec, generate
 from .graph import LabeledGraph, neighborhood
 from .nomination import ALPHA, K_UNIFORM, algorithm_a_run
@@ -99,11 +99,10 @@ def error_category(exc: BaseException) -> str:
 
 
 def build_b_config(alg_config: dict) -> BConfig:
+    """B's configuration from a config dict; BConfig checks the values."""
     control = parse_control(str(alg_config.get("control_fn", CONTROL)))
-    k = int(alg_config.get("k", K_UNIFORM))
-    alpha = int(alg_config.get("alpha", ALPHA))
-    dim = int(alg_config.get("dim", DIM))
-    return BConfig(sub=planar_nomination(k=k, alpha=alpha), predicate=PLANAR, control=control, dim=dim)
+    sub = planar_nomination(k=alg_config.get("k", K_UNIFORM), alpha=alg_config.get("alpha", ALPHA))
+    return BConfig(sub=sub, predicate=PLANAR, control=control, dim=alg_config.get("dim", DIM))
 
 
 def run_cell(
@@ -166,12 +165,6 @@ def run_cell(
     return report
 
 
-def _suite_int(value, where: str) -> int:
-    if type(value) is not int:
-        raise InputError(f"suite {where} must be an integer, got {value!r}")
-    return value
-
-
 def _suite_object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"suite {where} must be an object, got {value!r}")
@@ -185,15 +178,15 @@ def experiment(suite: dict) -> tuple[list[RunReport], dict]:
     entries = ("graphs", "algorithms")
     if not isinstance(suite, dict) or not all(isinstance(suite.get(k), (list, tuple)) for k in entries):
         raise InputError("suite must be a dict with 'graphs' and 'algorithms' lists")
-    oracle_max_n = _suite_int(suite.get("oracle_max_n", ORACLE_MAX_N), "oracle_max_n")
-    budget = _suite_int(suite.get("budget", DEFAULT_BUDGET), "budget")
+    oracle_max_n = require_int(suite.get("oracle_max_n", ORACLE_MAX_N), "suite oracle_max_n")
+    budget = require_int(suite.get("budget", DEFAULT_BUDGET), "suite budget")
     for i, alg_config in enumerate(suite["algorithms"]):
         _suite_object(alg_config, f"algorithms[{i}]")
     specs = []
     for i, gspec in enumerate(suite["graphs"]):
         gspec = _suite_object(gspec, f"graphs[{i}]")
         params = _suite_object(gspec.get("params", {}), f"graphs[{i}].params")
-        seed = _suite_int(gspec.get("seed", 0), f"graphs[{i}].seed")
+        seed = require_int(gspec.get("seed", 0), f"suite graphs[{i}].seed")
         specs.append(GeneratorSpec(str(gspec.get("family", "")), dict(params), seed))
     reports: list[RunReport] = []
     for spec in specs:

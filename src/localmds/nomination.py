@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size, _vertex_set
-from .errors import InputError, InvariantError
-from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood
+from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size
+from .errors import InputError, InvariantError, require_int
+from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, vertex_set
 from .runtime import LocalAlgorithm, RoundLedger, memoised, run_by_views
 
 VIEW_RADIUS = 4
@@ -142,12 +142,10 @@ def check_uniformity(
     `output` is whatever vertex set the algorithm under scrutiny produced
     (or a forced adversarial output, for counterexample reproduction).
     """
-    output = _vertex_set(g, output, "output")
-    s = _vertex_set(g, s, "s")
-    if k < 0:
-        raise InputError(f"k must be >= 0, got {k}")
+    output = vertex_set(g, output, "output")
+    s = vertex_set(g, s, "s")
     alpha = Fraction(alpha)
-    hood = neighborhood(g, s, k)
+    hood = neighborhood(g, s, require_int(k, "k", 0))
     optimum = mds_size(g, hood, budget=budget)
     witness = output & s
     bound = alpha * optimum

@@ -18,10 +18,10 @@ restricted to the vertices within `radius` of the center.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Hashable
 
-from .errors import InputError, LocalMdsError, RuleError
+from .errors import LocalMdsError, RuleError, require_int
 from .graph import BallView, LabeledGraph, ball
 
 MEMO_SIZE = 65536  # keys each `memoised` memo keeps, dropping the oldest first
@@ -36,8 +36,7 @@ class LocalAlgorithm:
     rule: Callable[[BallView], Any]
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise InputError(f"radius must be >= 0, got {self.radius}")
+        require_int(self.radius, "radius", 0)
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class RoundLedger:
     repair: int = 0
 
     def __post_init__(self):
-        if min(self.view_collection, self.algorithm_run, self.repair) < 0:
-            raise InputError("round counts must be >= 0")
+        for f in fields(self):
+            require_int(getattr(self, f.name), f"{f.name} rounds", 0)
 
     @property
     def total(self) -> int:

@@ -5,10 +5,14 @@ exhaustion for domination, pairwise comparison for strict neighborhood
 containment, simple-path enumeration for distances, and a
 subdivision search (complete graph on five vertices, or complete bipartite
 3x3) for planarity. Keep instances small; everything here is exponential.
+The one exception is the domination size from an integer program, solved
+by HiGHS through scipy, for instances past the reach of exhaustion.
 """
 from __future__ import annotations
 
 import itertools
+
+import pytest
 
 from localmds import LabeledGraph
 
@@ -46,6 +50,33 @@ def exhaustive_all_mds(g: LabeledGraph, target) -> set[frozenset[int]]:
         if hits:
             return hits
     raise AssertionError("unreachable")
+
+
+def milp_mds_size(g: LabeledGraph, target, time_limit: float) -> int:
+    """Minimum dominating-set size of `target` from the covering integer program:
+    minimise sum x_v over binary x with sum of x_v over N[b] >= 1 for every b
+    in `target`. Skips the calling test when scipy is missing, and fails it
+    when the solver stops without a proven optimum (say, after `time_limit`
+    seconds)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rows = sorted(set(target))
+    if not rows:
+        return 0
+    pos = {v: i for i, v in enumerate(g.labels)}
+    cover = [[0] * g.n for _ in rows]
+    for r, b in enumerate(rows):
+        for v in g.closed_neighborhood(b):
+            cover[r][pos[v]] = 1
+    result = optimize.milp(
+        [1] * g.n,
+        integrality=[1] * g.n,
+        bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(cover, lb=1),
+        options={"time_limit": time_limit, "mip_rel_gap": 0},
+    )
+    if result.status != 0:
+        pytest.fail(f"no proven optimum: {result.message}")
+    return round(result.fun)
 
 
 def strictly_dominated_by_pairs(g: LabeledGraph, within=None) -> frozenset[int]:

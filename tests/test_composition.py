@@ -74,6 +74,14 @@ class TestBConfig:
         with pytest.raises(InputError):
             parse_control("cubic:2")
 
+    def test_parse_control_keeps_the_factor_check(self):
+        # InputError is a ValueError, so only the parse may sit inside the
+        # try that turns a bad number into "unknown control function"
+        with pytest.raises(InputError, match="^linear control factor must be >= 1, got 0$"):
+            parse_control("linear:0")
+        with pytest.raises(InputError, match="^unknown control function 'linear:x'"):
+            parse_control("linear:x")
+
 
 class TestErrorSet:
     def test_planar_graph_has_no_errors(self):
@@ -276,6 +284,24 @@ class TestAlgorithmB:
         assert res.ledger.total == CFG.error_radius + measure_delta(g, res.errors.errors) + 2
         assert res.ledger.view_collection == CFG.error_radius + 1
         assert res.ledger.repair == res.errors.delta + 1
+
+    @pytest.mark.parametrize(
+        "n, gadgets",
+        [
+            (600, 3),
+            (1500, 8),
+            pytest.param(5000, 20, marks=pytest.mark.stress),
+            pytest.param(20000, 40, marks=pytest.mark.stress),
+        ],
+    )
+    def test_rounds_independent_of_n(self, n, gadgets):
+        # the paper's f(g)-round claim: with the gadget kind and spacing fixed,
+        # a longer host path changes neither delta nor the round count
+        spec = GeneratorSpec("gadgetGraft", {"n": n, "gadgets": gadgets, "spacing": 150, "gadget": "K5"}, seed=1)
+        g = generate(spec)
+        res = algorithm_b(g, CFG)
+        assert (res.ledger.total, res.errors.delta) == (47, 30)
+        assert verify_domination(g, res.output, g.labels)
 
     def test_step3_exclusion(self):
         g = generate(

@@ -18,7 +18,7 @@ from localmds import (
     verify_domination,
 )
 from localmds.domination import _greedy, _Instance
-from reference import exhaustive_all_mds, exhaustive_mds_size, strictly_dominated_by_pairs
+from reference import exhaustive_all_mds, exhaustive_mds_size, milp_mds_size, strictly_dominated_by_pairs
 
 
 class TestVerifyDomination:
@@ -85,6 +85,19 @@ class TestMdsSize:
             witness = minimum_dominating_set(g, target)
             assert verify_domination(g, witness, target)
             assert len(witness) == mds_size(g, target)
+
+    @pytest.mark.parametrize(
+        "spec, optimum",
+        [
+            (GeneratorSpec("toroidalGrid", {"rows": 7, "cols": 7}), 12),
+            (GeneratorSpec("grid", {"rows": 8, "cols": 8}), 16),
+            (GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1), 22),
+            (GeneratorSpec("randomPlanarTriangulation", {"n": 400}, seed=1), 49),
+        ],
+    )
+    def test_matches_integer_program_past_exhaustion(self, spec, optimum):
+        g = generate(spec)
+        assert mds_size(g, g.labels) == milp_mds_size(g, g.labels, time_limit=30) == optimum
 
     def test_hub_heavy_structures_match_exhaustive(self, rng):
         # stars, cliques, and stacked triangulations stress the solver's

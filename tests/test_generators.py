@@ -142,6 +142,18 @@ class TestParameterValidation:
         with pytest.raises(InputError):
             generate(spec)
 
+    @pytest.mark.parametrize("n", [5.7, True, "5"])
+    def test_parameters_are_never_coerced(self, n):
+        # coercion would build a 5-vertex path from 5.7 and a 1-vertex path from True
+        with pytest.raises(InputError, match="^parameter 'n' must be an integer, got "):
+            generate(GeneratorSpec("path", {"n": n}))
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_seed_is_never_coerced(self, seed):
+        # random.Random would take True as seed 1 and hash 1.5 or "1" into some seed
+        with pytest.raises(InputError, match="^seed must be an integer, got "):
+            generate(GeneratorSpec("randomPlanarTriangulation", {"n": 10}, seed=seed))
+
     @pytest.mark.parametrize("host, line", [({"host": "path"}, "n"), ({"host": "grid", "rows": 3}, "cols")])
     def test_too_many_gadgets_for_the_host(self, host, line):
         # three gadgets 20 apart span 40 positions of the host line: 40 are too few, 41 fit

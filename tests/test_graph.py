@@ -15,6 +15,7 @@ from localmds import (
     write_edge_list,
     write_vertex_set,
 )
+from localmds.graph import vertex_set
 from reference import enumerated_distances
 
 
@@ -50,6 +51,15 @@ class TestConstruction:
         assert sub.labels == (1, 2, 3)
         assert sub.neighbors(2) == {1, 3}
         assert not sub.is_canonical()
+
+    def test_induced_names_the_stray_vertex(self):
+        with pytest.raises(InputError, match="^vertex set contains 99, which is not a vertex$"):
+            path(5).induced({1, 99})
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True, "3"])
+    def test_rejects_bad_vertex_count(self, n):
+        with pytest.raises(InputError, match="^vertex count must be"):
+            LabeledGraph.from_edges(n)
 
     def test_equality(self):
         assert path(4) == LabeledGraph.from_edges(4, [(2, 3), (0, 1), (1, 2)])
@@ -117,6 +127,13 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(InputError):
             ball(path(3), 1, -1)
+
+    def test_radius_must_be_an_integer(self):
+        # a fractional radius would silently act as the next whole one
+        with pytest.raises(InputError, match="^radius must be an integer, got 1.5$"):
+            ball(path(9), 4, 1.5)
+        with pytest.raises(InputError, match="^radius must be an integer, got True$"):
+            neighborhood(path(9), {4}, True)
 
     def test_monotone_in_radius(self, rng):
         for _ in range(5):
@@ -291,6 +308,21 @@ class TestFileFormats:
         assert read_vertex_set(p) == {1, 4, 7}
         write_vertex_set(set(), p)
         assert read_vertex_set(p) == frozenset()
+
+
+class TestVertexSet:
+    def test_returns_a_frozenset(self):
+        assert vertex_set(path(4), [3, 1, 3], "s") == frozenset({1, 3})
+
+    def test_names_the_set_and_the_stray_member(self):
+        with pytest.raises(InputError, match="^chosen contains 'x', which is not a vertex$"):
+            vertex_set(path(4), [1, "x"], "chosen")
+
+    def test_checks_against_the_graph_not_the_label_range(self):
+        g = path(6).induced({2, 3, 4})
+        assert vertex_set(g, {2, 4}, "s") == {2, 4}
+        with pytest.raises(InputError, match="contains 0"):
+            vertex_set(g, {0}, "s")
 
 
 def test_neighborhood_growth():

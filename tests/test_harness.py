@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from localmds import (
     write_csv,
 )
 from localmds import harness
+from localmds.errors import require_int
 from localmds.harness import error_category
 
 SUITE = {
@@ -76,6 +78,25 @@ class TestRunCell:
         assert report.status == "input"
         assert report.output is None
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"k": "x"}, "uniformity scale k must be an integer, got 'x'"),
+            ({"k": 4.9}, "uniformity scale k must be an integer, got 4.9"),
+            ({"k": True}, "uniformity scale k must be an integer, got True"),
+            ({"k": -1}, "uniformity scale k must be >= 0, got -1"),
+            ({"alpha": [1]}, "uniformity ratio alpha must be an integer, got [1]"),
+            ({"dim": "2"}, "dimension must be an integer, got '2'"),
+            ({"dim": -1}, "dimension must be >= 0, got -1"),
+            ({"control_fn": "linear:0"}, "linear control factor must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_b_config_is_an_input_error(self, config, message):
+        # a bad constant is the caller's input error, never `unexpected` and never a run
+        report = run_cell(path(5), {}, dict(config, alg="B"))
+        assert (report.status, report.message) == ("input", message)
+        assert report.output is None
+
     def test_budget_error_category(self):
         g = grid(5, 5)
         report = run_cell(g, {}, {"alg": "A"}, budget=2)
@@ -114,6 +135,22 @@ class TestErrorCategory:
         assert error_category(InvariantError("x")) == "internal"
         assert error_category(LocalMdsError("x")) == "internal"
         assert error_category(ValueError("x")) == "unexpected"
+
+
+class TestRequireInt:
+    def test_accepts_ints_at_or_above_the_minimum(self):
+        assert require_int(0, "x") == 0
+        assert require_int(-5, "x") == -5
+        assert require_int(3, "x", 3) == 3
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, "2", None, [2]])
+    def test_rejects_everything_that_is_not_an_int(self, value):
+        with pytest.raises(InputError, match=f"^where must be an integer, got {re.escape(repr(value))}$"):
+            require_int(value, "where", 0)
+
+    def test_below_the_minimum(self):
+        with pytest.raises(InputError, match="^radius must be >= 1, got 0$"):
+            require_int(0, "radius", 1)
 
 
 class TestExperiment:

@@ -16,6 +16,7 @@ from localmds import (
     run_cell,
     verify_domination,
 )
+from reference import milp_mds_size
 
 pytestmark = pytest.mark.stress
 
@@ -34,6 +35,12 @@ def test_torus_8x8_minimum_set_within_raised_budget():
     best = minimum_dominating_set(g, g.labels, budget=3 * 10**6)
     assert len(best) == 16
     assert verify_domination(g, best, g.labels)
+
+
+def test_torus_8x8_optimum_from_integer_program():
+    # an independent proof that the 16 members found above are a minimum
+    g = generate(GeneratorSpec("toroidalGrid", {"rows": 8, "cols": 8}))
+    assert milp_mds_size(g, g.labels, time_limit=60) == 16
 
 
 def test_long_path_size():
