@@ -9,16 +9,13 @@ harness with a CLI.
 from .composition import (
     BConfig,
     BRunResult,
-    ControlFunction,
     ErrorSetReport,
-    UniformSubAlgorithm,
     algorithm_b,
     detection_algorithm,
     error_set,
     linear_control,
     measure_delta,
     parse_control,
-    planar_nomination,
     repair_step,
     t_error_set,
 )

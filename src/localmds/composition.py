@@ -1,22 +1,22 @@
-"""Error-tolerant composition of a uniform sub-algorithm (algorithm B).
+"""Error-tolerant composition of algorithm A (algorithm B).
 
-Given a sub-algorithm with uniform approximation guarantees on some
-hereditary class, the composition runs three phases on an arbitrary graph:
+A has uniform approximation guarantees on planar graphs, with constants k
+(uniformity scale) and alpha (ratio). The composition runs three phases on
+an arbitrary graph, relative to a hereditary class predicate:
 
 1. every vertex inspects its radius-T view and flags itself as an *error*
    when that view falls outside the class. The class is hereditary and a
    view is an induced subgraph of its center's connected component, so a
    component inside the class is cleared whole by one predicate call; only
    the vertices of the other components are checked view by view;
-2. the sub-algorithm runs, but flagged vertices are filtered out of its
-   output;
+2. A runs, but flagged vertices are filtered out of its output;
 3. whatever is left uncovered is repaired exactly, component by component,
    with the centralized oracle (unbounded local computation).
 
-T is derived from the sub-algorithm's constants and a configurable control
+T is derived from k, A's round count r and a configurable control
 function f as T = f(2k+2) + max(k+1, r). Rounds are charged T+1 for the
-combined detection/filter phase (detection and the sub-algorithm run in
-parallel; detection dominates) and delta+1 for repair, where delta is the
+combined detection/filter phase (detection and A run in parallel;
+detection dominates) and delta+1 for repair, where delta is the
 largest weak diameter of a component of the distance-2 neighborhood of the
 error set: T + delta + 2 in total.
 """
@@ -36,23 +36,12 @@ CONTROL = "linear:1"  # B's default control function, as parse_control reads it
 DIM = 2  # B's default dimension: that of planar graphs under a linear control function
 
 
-@dataclass(frozen=True)
-class ControlFunction:
-    """A named nondecreasing map from power radius to weak-diameter bound."""
-
-    name: str
-    fn: Callable[[int], int]
-
-    def __call__(self, x: int) -> int:
-        return self.fn(x)
-
-
-def linear_control(c: int = 1) -> ControlFunction:
+def linear_control(c: int = 1) -> Callable[[int], int]:
     require_int(c, "linear control factor", 1)
-    return ControlFunction(f"linear:{c}", lambda x: c * x)
+    return lambda x: c * x
 
 
-def parse_control(spec: str) -> ControlFunction:
+def parse_control(spec: str) -> Callable[[int], int]:
     """Parse a control-function spec of the form 'linear:c'."""
     kind, _, arg = spec.partition(":")
     if kind == "linear":
@@ -66,33 +55,22 @@ def parse_control(spec: str) -> ControlFunction:
 
 
 @dataclass(frozen=True)
-class UniformSubAlgorithm:
-    """A whole-graph runner plus its declared uniformity constants."""
-
-    name: str
-    k: int
-    alpha: int
-    rounds: int
-    run: Callable[[LabeledGraph], VertexSet]
-
-
-def planar_nomination(k: int = K_UNIFORM, alpha: int = ALPHA) -> UniformSubAlgorithm:
-    """The 5-round nomination algorithm with its planar uniformity constants."""
-    return UniformSubAlgorithm("A", k, alpha, ROUNDS, algorithm_a)
-
-
-@dataclass(frozen=True)
 class BConfig:
-    sub: UniformSubAlgorithm
+    """B's class predicate, nondecreasing control function f (power radius to
+    weak-diameter bound), A's uniformity constants k and alpha, and the
+    dimension that f certifies for the class."""
+
     predicate: ClassPredicate
-    control: ControlFunction = field(default_factory=lambda: parse_control(CONTROL))
+    control: Callable[[int], int] = field(default_factory=lambda: parse_control(CONTROL))
+    k: int = K_UNIFORM
+    alpha: int = ALPHA
     dim: int = DIM
 
     def __post_init__(self):
-        require_int(self.sub.k, "uniformity scale k", 0)
-        require_int(self.sub.alpha, "uniformity ratio alpha")
+        require_int(self.k, "uniformity scale k", 0)
+        require_int(self.alpha, "uniformity ratio alpha")
         require_int(self.dim, "dimension", 0)
-        probe = [self.control(x) for x in range(2 * self.sub.k + 3)]
+        probe = [self.control(x) for x in range(2 * self.k + 3)]
         if any(v < 0 for v in probe):
             raise InputError("control function must be non-negative")
         if any(b < a for a, b in zip(probe, probe[1:])):
@@ -101,14 +79,14 @@ class BConfig:
     @property
     def error_radius(self) -> int:
         """T: the view radius used for error detection."""
-        return self.control(2 * self.sub.k + 2) + max(self.sub.k + 1, self.sub.rounds)
+        return self.control(2 * self.k + 2) + max(self.k + 1, ROUNDS)
 
     @property
     def claimed_ratio(self) -> int:
         """The ratio alpha*(dim+1)+1 that the tests check uniformity against;
         it holds when the configured control function truly certifies
         dimension `dim` for the input class. No report or CSV carries it."""
-        return self.sub.alpha * (self.dim + 1) + 1
+        return self.alpha * (self.dim + 1) + 1
 
 
 @dataclass(frozen=True)
@@ -132,7 +110,7 @@ VERDICTS: dict[tuple, bool] = {}
 
 
 def _holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
-    """`predicate(h)`, memoised under the ranked form of h."""
+    """`predicate.test(h)`, memoised under the ranked form of h."""
     labels, edges = ranked_form(h)
     return memoised(VERDICTS, (predicate, len(labels), edges), lambda: predicate.test(h))
 
@@ -212,11 +190,11 @@ def repair_step(
     """Exact minimum set covering everything `dominated_by` misses.
 
     Requires that every uncovered vertex lies within distance 1 of the
-    error set (guaranteed by the filtered phase when the sub-algorithm's
-    output dominates); violation raises InvariantError. Each connected
-    component of the distance-2 neighborhood of the errors is solved
-    independently; the union is exact because an uncovered vertex's whole
-    closed neighborhood sits inside a single component.
+    error set (guaranteed by the filtered phase, because A's output
+    dominates); violation raises InvariantError. Each connected component
+    of the distance-2 neighborhood of the errors is solved independently;
+    the union is exact because an uncovered vertex's whole closed
+    neighborhood sits inside a single component.
     """
     dominated_by = vertex_set(g, dominated_by, "dominated_by")
     errors = vertex_set(g, errors, "errors")
@@ -243,7 +221,7 @@ class BRunResult:
 
     output: VertexSet
     errors: ErrorSetReport
-    filtered: VertexSet  # sub-algorithm output minus the error set
+    filtered: VertexSet  # A's output minus the error set
     repair: VertexSet
     ledger: RoundLedger
 
@@ -251,8 +229,7 @@ class BRunResult:
 def algorithm_b(g: LabeledGraph, cfg: BConfig, *, budget: int = DEFAULT_BUDGET) -> BRunResult:
     """Run the composition: detect, filter, repair."""
     report = error_set(g, cfg)
-    sub_output = vertex_set(g, cfg.sub.run(g), f"{cfg.sub.name} output")
-    filtered = sub_output - report.errors
+    filtered = vertex_set(g, algorithm_a(g), "A output") - report.errors
     repaired = repair_step(g, filtered, report.errors, budget=budget)
     ledger = RoundLedger(view_collection=report.radius + 1, repair=report.delta + 1)
     return BRunResult(filtered | repaired, report, filtered, repaired, ledger)

@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .composition import CONTROL, DIM, BConfig, algorithm_b, parse_control, planar_nomination
+from .composition import CONTROL, DIM, BConfig, algorithm_b, parse_control
 from .domination import DEFAULT_BUDGET, mds_size, verify_domination
 from .errors import EnumerationBudgetError, InputError, InvariantError, LocalMdsError, require_int
 from .generators import GeneratorSpec, generate
@@ -100,9 +100,9 @@ def error_category(exc: BaseException) -> str:
 
 def build_b_config(alg_config: dict) -> BConfig:
     """B's configuration from a config dict; BConfig checks the values."""
-    control = parse_control(str(alg_config.get("control_fn", CONTROL)))
-    sub = planar_nomination(k=alg_config.get("k", K_UNIFORM), alpha=alg_config.get("alpha", ALPHA))
-    return BConfig(sub=sub, predicate=PLANAR, control=control, dim=alg_config.get("dim", DIM))
+    get = alg_config.get
+    control = parse_control(str(get("control_fn", CONTROL)))
+    return BConfig(PLANAR, control, k=get("k", K_UNIFORM), alpha=get("alpha", ALPHA), dim=get("dim", DIM))
 
 
 def run_cell(
@@ -124,6 +124,8 @@ def run_cell(
     report = RunReport(graph=dict(descriptor, n=g.n, m=g.m), algorithm=alg, config=config)
     start = time.perf_counter()
     try:
+        require_int(oracle_max_n, "oracle_max_n")
+        require_int(budget, "budget")
         if alg == "A":
             run = algorithm_a_run(g)
             output, ledger = run.output, run.ledger
@@ -146,12 +148,7 @@ def run_cell(
             raise InvariantError("algorithm output does not dominate the graph")
         report.output = tuple(sorted(output))
         report.output_size = len(output)
-        report.ledger = {
-            "view_collection": ledger.view_collection,
-            "algorithm_run": ledger.algorithm_run,
-            "repair": ledger.repair,
-            "total": ledger.total,
-        }
+        report.ledger = dict(asdict(ledger), total=ledger.total)
         report.lower_bound = distance3_lower_bound(g)
         if g.n > 0 and g.n <= oracle_max_n:
             report.optimum = mds_size(g, g.labels, budget=budget)

@@ -144,6 +144,8 @@ def check_uniformity(
     """
     output = vertex_set(g, output, "output")
     s = vertex_set(g, s, "s")
+    if type(alpha) is not int and not isinstance(alpha, Fraction):
+        raise InputError(f"alpha must be an integer or a Fraction, got {alpha!r}")
     alpha = Fraction(alpha)
     hood = neighborhood(g, s, require_int(k, "k", 0))
     optimum = mds_size(g, hood, budget=budget)

@@ -47,8 +47,5 @@ class ClassPredicate:
     name: str
     test: Callable[[LabeledGraph], bool]
 
-    def __call__(self, g: LabeledGraph) -> bool:
-        return self.test(g)
-
 
 PLANAR = ClassPredicate("planar", is_planar)

@@ -27,7 +27,6 @@ from localmds import (
     is_planar,
     mds_size,
     measure_delta,
-    planar_nomination,
     run_by_messages,
     run_by_views,
     t_error_set,
@@ -36,7 +35,7 @@ from localmds import (
 from localmds.nomination import ALGORITHM_A, ALPHA, K_UNIFORM
 from reference import exhaustive_mds_size, planar_by_subdivisions
 
-CFG = BConfig(sub=planar_nomination(), predicate=PLANAR)
+CFG = BConfig(predicate=PLANAR)
 T = CFG.error_radius  # 15 with the default linear control
 
 

@@ -11,6 +11,7 @@ from localmds import (
     InvariantError,
     LabeledGraph,
     PLANAR,
+    ROUNDS,
     RuleError,
     algorithm_a,
     algorithm_b,
@@ -23,14 +24,13 @@ from localmds import (
     measure_delta,
     neighborhood,
     parse_control,
-    planar_nomination,
     repair_step,
     t_error_set,
     verify_domination,
 )
 from localmds.composition import component_error_set
 
-CFG = BConfig(sub=planar_nomination(), predicate=PLANAR)
+CFG = BConfig(predicate=PLANAR)
 
 
 def counted_planar(calls):
@@ -42,30 +42,26 @@ def counted_planar(calls):
 class TestBConfig:
     def test_derived_radius(self):
         assert CFG.error_radius == 15  # linear:1 control, k=4, r=5
-        wide = BConfig(sub=planar_nomination(), predicate=PLANAR, control=linear_control(2))
+        wide = BConfig(predicate=PLANAR, control=linear_control(2))
         assert wide.error_radius == 25
 
     def test_radius_dominates_sub_constants(self):
-        assert CFG.error_radius >= CFG.sub.rounds
-        assert CFG.error_radius >= CFG.sub.k + 1
+        assert CFG.error_radius >= ROUNDS
+        assert CFG.error_radius >= CFG.k + 1
 
     def test_claimed_ratio(self):
         assert CFG.claimed_ratio == 302 * 3 + 1
 
     def test_decreasing_control_rejected(self):
-        from localmds import ControlFunction
-
         with pytest.raises(InputError):
             BConfig(
-                sub=planar_nomination(),
                 predicate=PLANAR,
-                control=ControlFunction("bad", lambda x: -x),
+                control=lambda x: -x,
             )
         with pytest.raises(InputError):
             BConfig(
-                sub=planar_nomination(),
                 predicate=PLANAR,
-                control=ControlFunction("zigzag", lambda x: x % 3),
+                control=lambda x: x % 3,
             )
 
     def test_parse_control(self):
@@ -118,7 +114,7 @@ class TestErrorSet:
     def test_planar_component_takes_one_predicate_call(self):
         # the per-vertex t_error_set makes 125 calls here, one per distinct ranked view
         calls = []
-        cfg = BConfig(sub=planar_nomination(), predicate=counted_planar(calls))
+        cfg = BConfig(predicate=counted_planar(calls))
         g = grid(14, 14)
         assert error_set(g, cfg).errors == frozenset()
         assert calls == [g]
@@ -321,7 +317,7 @@ class TestAlgorithmB:
             res = algorithm_b(g, CFG)
             for _ in range(5):
                 s = frozenset(v for v in g.labels if rng.random() < 0.5)
-                assert check_uniformity(g, res.output, s, CFG.sub.k, Fraction(CFG.claimed_ratio)).holds
+                assert check_uniformity(g, res.output, s, CFG.k, Fraction(CFG.claimed_ratio)).holds
 
     def test_delta_bound_on_known_genus_families(self):
         t = CFG.error_radius
@@ -361,7 +357,7 @@ class TestAlgorithmB:
     def test_custom_predicate_composition(self):
         # the composition accepts any pluggable class predicate
         max_degree_two = ClassPredicate("max-degree-2", lambda h: all(h.degree(v) <= 2 for v in h.labels))
-        cfg = BConfig(sub=planar_nomination(), predicate=max_degree_two)
+        cfg = BConfig(predicate=max_degree_two)
         g = path(40)
         res = algorithm_b(g, cfg)
         assert res.errors.errors == frozenset()

@@ -97,6 +97,21 @@ class TestRunCell:
         assert (report.status, report.message) == ("input", message)
         assert report.output is None
 
+    @pytest.mark.parametrize(
+        "alg, keyword, message",
+        [
+            ("A", {"oracle_max_n": "x"}, "oracle_max_n must be an integer, got 'x'"),
+            ("A", {"oracle_max_n": 2.5}, "oracle_max_n must be an integer, got 2.5"),
+            ("B", {"budget": "x"}, "budget must be an integer, got 'x'"),
+            ("A", {"budget": True}, "budget must be an integer, got True"),
+        ],
+    )
+    def test_bad_keyword_argument_is_an_input_error(self, alg, keyword, message):
+        # a library caller's bad limit ends the cell `input`, never `unexpected`
+        report = run_cell(path(4), {}, {"alg": alg}, **keyword)
+        assert (report.status, report.message) == ("input", message)
+        assert report.output is None
+
     def test_budget_error_category(self):
         g = grid(5, 5)
         report = run_cell(g, {}, {"alg": "A"}, budget=2)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,3 +210,8 @@ class TestCheckUniformity:
         g = path(3)
         with pytest.raises(InputError):
             check_uniformity(g, frozenset(), frozenset(), -1, 1)
+
+    @pytest.mark.parametrize("alpha", ["abc", "302", True, 0.5])
+    def test_alpha_must_be_an_int_or_a_fraction(self, alpha):
+        with pytest.raises(InputError, match=re.escape(f"alpha must be an integer or a Fraction, got {alpha!r}")):
+            check_uniformity(path(4), frozenset({1}), frozenset({1}), 1, alpha)

@@ -81,5 +81,5 @@ class TestProperties:
 class TestClassPredicate:
     def test_planar_predicate(self):
         assert PLANAR.name == "planar"
-        assert PLANAR(grid(3, 3))
-        assert not PLANAR(complete_graph(5))
+        assert PLANAR.test(grid(3, 3))
+        assert not PLANAR.test(complete_graph(5))
