@@ -12,9 +12,9 @@ from .composition import (
     ErrorSetReport,
     algorithm_b,
     detection_algorithm,
+    error_report,
     error_set,
     linear_control,
-    measure_delta,
     parse_control,
     repair_step,
     t_error_set,

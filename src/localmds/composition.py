@@ -10,15 +10,17 @@ an arbitrary graph, relative to a hereditary class predicate:
    component inside the class is cleared whole by one predicate call; only
    the vertices of the other components are checked view by view;
 2. A runs, but flagged vertices are filtered out of its output;
-3. whatever is left uncovered is repaired exactly, component by component,
-   with the centralized oracle (unbounded local computation).
+3. whatever is left uncovered is repaired exactly with the centralized
+   oracle (unbounded local computation), one component of the distance-2
+   neighborhood of the error set at a time.
 
 T is derived from k, A's round count r and a configurable control
 function f as T = f(2k+2) + max(k+1, r). Rounds are charged T+1 for the
 combined detection/filter phase (detection and A run in parallel;
-detection dominates) and delta+1 for repair, where delta is the
-largest weak diameter of a component of the distance-2 neighborhood of the
-error set: T + delta + 2 in total.
+detection dominates) and delta+1 for repair, where delta is the largest
+weak diameter of a repaired component: T + delta + 2 in total. One
+`ErrorSetReport`, built by `error_report`, carries the error set, these
+components and their diameters from detection to repair.
 """
 from __future__ import annotations
 
@@ -70,9 +72,7 @@ class BConfig:
         require_int(self.k, "uniformity scale k", 0)
         require_int(self.alpha, "uniformity ratio alpha")
         require_int(self.dim, "dimension", 0)
-        probe = [self.control(x) for x in range(2 * self.k + 3)]
-        if any(v < 0 for v in probe):
-            raise InputError("control function must be non-negative")
+        probe = [require_int(self.control(x), "control function value", 0) for x in range(2 * self.k + 3)]
         if any(b < a for a, b in zip(probe, probe[1:])):
             raise InputError("control function must be nondecreasing")
 
@@ -92,9 +92,9 @@ class BConfig:
 @dataclass(frozen=True)
 class ErrorSetReport:
     """The error set X, the components of its distance-2 neighborhood, and
-    their weak diameters in the host graph."""
+    their weak diameters in the host graph. B repairs exactly these
+    components and charges delta + 1 rounds, delta the largest diameter."""
 
-    radius: int
     errors: VertexSet
     components: tuple[VertexSet, ...]
     weak_diameters: tuple[int, ...]
@@ -155,56 +155,40 @@ def component_error_set(g: LabeledGraph, predicate: ClassPredicate, radius: int)
     return frozenset(errors)
 
 
-def _error_components(g: LabeledGraph, errors: VertexSet) -> tuple[tuple[VertexSet, ...], tuple[int, ...]]:
-    hood = neighborhood(g, errors, 2)
-    comps = tuple(components(g, hood))
-    return comps, tuple(weak_diameter(g, c) for c in comps)
+def error_report(g: LabeledGraph, errors: VertexSet) -> ErrorSetReport:
+    """The components of the distance-2 neighborhood of `errors`, and each
+    one's weak diameter in g: the components that B repairs and charges for."""
+    errors = vertex_set(g, errors, "errors")
+    comps = tuple(components(g, neighborhood(g, errors, 2)))
+    return ErrorSetReport(errors, comps, tuple(weak_diameter(g, c) for c in comps))
 
 
 def error_set(g: LabeledGraph, cfg: BConfig) -> ErrorSetReport:
-    """Detect errors at the configured radius and measure their spread.
-
-    The error set is `component_error_set`'s, which equals the per-vertex
-    `t_error_set` for a hereditary predicate."""
-    t = cfg.error_radius
-    errors = component_error_set(g, cfg.predicate, t)
-    comps, diams = _error_components(g, errors)
-    return ErrorSetReport(t, errors, comps, diams)
-
-
-def measure_delta(g: LabeledGraph, errors: VertexSet) -> int:
-    """Largest weak diameter of a component of the distance-2 neighborhood
-    of `errors`; 0 when the error set is empty."""
-    errors = vertex_set(g, errors, "errors")
-    _, diams = _error_components(g, errors)
-    return max(diams, default=0)
+    """`error_report` on the errors `component_error_set` detects at radius T,
+    which are the per-vertex `t_error_set`'s for a hereditary predicate."""
+    return error_report(g, component_error_set(g, cfg.predicate, cfg.error_radius))
 
 
 def repair_step(
-    g: LabeledGraph,
-    dominated_by: VertexSet,
-    errors: VertexSet,
-    *,
-    budget: int = DEFAULT_BUDGET,
+    g: LabeledGraph, dominated_by: VertexSet, report: ErrorSetReport, *, budget: int = DEFAULT_BUDGET
 ) -> VertexSet:
     """Exact minimum set covering everything `dominated_by` misses.
 
     Requires that every uncovered vertex lies within distance 1 of the
     error set (guaranteed by the filtered phase, because A's output
-    dominates); violation raises InvariantError. Each connected component
-    of the distance-2 neighborhood of the errors is solved independently;
-    the union is exact because an uncovered vertex's whole closed
-    neighborhood sits inside a single component.
+    dominates); violation raises InvariantError. Each of the report's
+    components is solved independently; the union is exact because an
+    uncovered vertex's whole closed neighborhood sits inside a single
+    component.
     """
     dominated_by = vertex_set(g, dominated_by, "dominated_by")
-    errors = vertex_set(g, errors, "errors")
     uncovered = frozenset(g.labels) - neighborhood(g, dominated_by, 1)
     if not uncovered:
         return frozenset()
-    if not uncovered <= neighborhood(g, errors, 1):
+    if not uncovered <= neighborhood(g, report.errors, 1):
         raise InvariantError("uncovered vertices stray beyond the error neighborhood")
     out: set[int] = set()
-    for comp in components(g, neighborhood(g, errors, 2)):
+    for comp in report.components:
         local_target = uncovered & comp
         if not local_target:
             continue
@@ -230,6 +214,6 @@ def algorithm_b(g: LabeledGraph, cfg: BConfig, *, budget: int = DEFAULT_BUDGET) 
     """Run the composition: detect, filter, repair."""
     report = error_set(g, cfg)
     filtered = vertex_set(g, algorithm_a(g), "A output") - report.errors
-    repaired = repair_step(g, filtered, report.errors, budget=budget)
-    ledger = RoundLedger(view_collection=report.radius + 1, repair=report.delta + 1)
+    repaired = repair_step(g, filtered, report, budget=budget)
+    ledger = RoundLedger(view_collection=cfg.error_radius + 1, repair=report.delta + 1)
     return BRunResult(filtered | repaired, report, filtered, repaired, ledger)

@@ -170,13 +170,17 @@ def vertex_set(g: LabeledGraph, s: Iterable[int], name: str) -> VertexSet:
     return out
 
 
-def _bfs(g: LabeledGraph, sources: Iterable[int], radius: int | None = None) -> dict[int, int]:
+def _bfs(
+    g: LabeledGraph, sources: Iterable[int], radius: int | None = None, until: VertexSet = frozenset()
+) -> dict[int, int]:
     """Hop distance to the nearest source for every vertex within `radius`
-    of `sources` (every reachable vertex when `radius` is None)."""
+    of `sources` (every reachable vertex when `radius` is None). A non-empty
+    `until` stops the search after the level that reaches its last member."""
     dist = {v: 0 for v in vertex_set(g, sources, "sources")}
+    left = len(until.difference(dist)) if until else -1
     frontier = list(dist)
     d = 0
-    while frontier and (radius is None or d < radius):
+    while frontier and left and (radius is None or d < radius):
         d += 1
         nxt = []
         for v in frontier:
@@ -185,6 +189,8 @@ def _bfs(g: LabeledGraph, sources: Iterable[int], radius: int | None = None) -> 
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
+        if until:
+            left -= len(until.intersection(nxt))
     return dist
 
 
@@ -227,19 +233,13 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
     when `s` spans more than one connected component of g.
     """
     ss = vertex_set(g, s, "vertex set")
-    if len(ss) <= 1:
-        return 0
-    first, *rest = ss
-    dist = distances(g, first)
-    for w in ss:
-        if w not in dist:
-            raise InputError(f"vertices {first} and {w} lie in different components")
-    best = max(dist[w] for w in ss)
-    # every pair lies within 2 * best of each other, through `first`
-    reach = 2 * best
-    for v in rest:
-        dist = _bfs(g, (v,), reach)
-        best = max(best, max(dist[w] for w in ss))
+    best = 0
+    for v in ss:
+        dist = _bfs(g, (v,), until=ss)
+        for w in ss:
+            if w not in dist:
+                raise InputError(f"vertices {v} and {w} lie in different components")
+            best = max(best, dist[w])
     return best
 
 

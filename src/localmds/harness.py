@@ -60,11 +60,16 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        payload = json.loads(text)
-        if payload.pop("schema", None) != "localmds.run_report@1":
-            raise InputError("not a localmds run report")
-        payload["output"] = tuple(payload["output"]) if payload.get("output") is not None else None
-        return cls(**payload)
+        try:
+            payload = json.loads(text)
+            if not isinstance(payload, dict) or payload.pop("schema", None) != "localmds.run_report@1":
+                raise InputError("not a localmds run report")
+            payload["output"] = tuple(payload["output"]) if payload.get("output") is not None else None
+            return cls(**payload)
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"not a localmds run report: {exc}") from None
 
 
 def distance3_lower_bound(g: LabeledGraph) -> int:
@@ -134,7 +139,7 @@ def run_cell(
             result = algorithm_b(g, cfg, budget=budget)
             output, ledger = result.output, result.ledger
             report.errors = {
-                "radius": result.errors.radius,
+                "radius": cfg.error_radius,
                 "errors": sorted(result.errors.errors),
                 "delta": result.errors.delta,
                 "components": [

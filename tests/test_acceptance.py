@@ -22,11 +22,11 @@ from localmds import (
     best_minimum_dominating_set,
     check_uniformity,
     detection_algorithm,
+    error_report,
     experiment,
     generate,
     is_planar,
     mds_size,
-    measure_delta,
     run_by_messages,
     run_by_views,
     t_error_set,
@@ -142,7 +142,7 @@ def test_criterion_02_round_accounting(corpus_runs):
             continue
         if r["a"].ledger.total != 5:
             bad.append(f"A rounds {r['a'].ledger.total} != 5 on {r['spec']}")
-        delta = measure_delta(r["g"], r["b"].errors.errors)
+        delta = error_report(r["g"], r["b"].errors.errors).delta
         if r["b"].ledger.total != T + delta + 2:
             bad.append(f"B rounds {r['b'].ledger.total} != {T}+{delta}+2 on {r['spec']}")
     _report(2, not bad, "round accounting: A = 5, B = T + delta + 2", f"T={T}" + (f", {bad[:3]}" if bad else ""))
@@ -257,7 +257,7 @@ def test_criterion_07_delta_bound(corpus_runs):
         else:
             continue
         checked += 1
-        delta = measure_delta(r["g"], r["b"].errors.errors)
+        delta = error_report(r["g"], r["b"].errors.errors).delta
         limit = genus_bound * (2 * T + 5)
         worst = max(worst, delta / limit)
         if not delta < limit:

@@ -20,6 +20,7 @@ sys.path.insert(0, "bench")
 import spans
 from localmds import GeneratorSpec, generate, harness
 
+B_LAYER = ("graph.weak_diameter", "composition.repair_step", "composition.error_set", "graph.components")
 tracer = spans.Tracer()
 detection_views = spans.instrument(tracer)
 cells = [
@@ -33,11 +34,13 @@ for i, (spec, alg) in enumerate(cells):
     statuses.append(harness.run_cell(g, {}, {"alg": alg}).status)
 tracer.cell = None
 summary = spans.summarize(tracer.spans)
+b_cell = [span[0] for span in tracer.spans if span[4] == 0]
 print(json.dumps({
     "statuses": statuses,
     "planarity_cell_calls": summary.get("planarity", {}).get("cell_calls", 0),
     "detection_views": len(detection_views),
     "sub_runs": summary.get("composition.sub_run", {}).get("calls", 0),
+    "b_cell_spans": {name: b_cell.count(name) for name in B_LAYER},
 }))
 """
 
@@ -54,3 +57,10 @@ def test_traced_cells_run_through_every_hook():
     assert result["detection_views"] > 0
     assert result["planarity_cell_calls"] == result["detection_views"]
     assert result["sub_runs"] == 1
+    # B's error report is built once in composition, through the names the
+    # hooks rebind: components of the host, then of the error neighbourhood
+    b_cell = result["b_cell_spans"]
+    assert b_cell["graph.weak_diameter"] >= 1
+    assert b_cell["composition.repair_step"] >= 1
+    assert b_cell["composition.error_set"] >= 1
+    assert b_cell["graph.components"] == 2

@@ -16,12 +16,12 @@ from localmds import (
     algorithm_a,
     algorithm_b,
     check_uniformity,
+    error_report,
     error_set,
     generate,
     is_planar,
     linear_control,
     mds_size,
-    measure_delta,
     neighborhood,
     parse_control,
     repair_step,
@@ -63,6 +63,17 @@ class TestBConfig:
                 predicate=PLANAR,
                 control=lambda x: x % 3,
             )
+
+    def test_control_values_checked_at_construction(self):
+        # each probed value must be a non-negative int, so a bad function
+        # fails here as an input error, not later inside B
+        for control, message in (
+            (lambda x: "a", "must be an integer, got 'a'"),
+            (lambda x: x / 2, "must be an integer, got 0.0"),
+            (lambda x: -x, "must be >= 0, got -1"),
+        ):
+            with pytest.raises(InputError, match=f"^control function value {message}$"):
+                BConfig(predicate=PLANAR, control=control)
 
     def test_parse_control(self):
         assert parse_control("linear:3")(5) == 15
@@ -162,11 +173,11 @@ class TestErrorSet:
 
 class TestMeasureDelta:
     def test_empty_error_set(self):
-        assert measure_delta(grid(3, 3), frozenset()) == 0
+        assert error_report(grid(3, 3), frozenset()).delta == 0
 
     def test_k5(self):
         g = complete_graph(5)
-        assert measure_delta(g, frozenset(g.labels)) == 1
+        assert error_report(g, frozenset(g.labels)).delta == 1
 
     def test_two_far_gadget_regions(self):
         g = generate(
@@ -174,7 +185,7 @@ class TestMeasureDelta:
         )
         report = error_set(g, CFG)
         assert len(report.components) == 2
-        assert measure_delta(g, report.errors) == report.delta == max(report.weak_diameters)
+        assert error_report(g, report.errors).delta == report.delta == max(report.weak_diameters)
 
     def test_matches_component_recomputation(self):
         from localmds import components, weak_diameter
@@ -183,18 +194,18 @@ class TestMeasureDelta:
         x = t_error_set(g, PLANAR, CFG.error_radius)
         hood = neighborhood(g, x, 2)
         expected = max(weak_diameter(g, c) for c in components(g, hood))
-        assert measure_delta(g, x) == expected
+        assert error_report(g, x).delta == expected
 
 
 class TestRepairStep:
     def test_no_errors_nothing_to_repair(self):
         g = grid(3, 4)
         dominating = algorithm_a(g)
-        assert repair_step(g, dominating, frozenset()) == frozenset()
+        assert repair_step(g, dominating, error_report(g, frozenset())) == frozenset()
 
     def test_degenerates_to_global_oracle(self):
         g = complete_graph(5)
-        out = repair_step(g, frozenset(), frozenset(g.labels))
+        out = repair_step(g, frozenset(), error_report(g, frozenset(g.labels)))
         assert len(out) == 1
         assert verify_domination(g, out, g.labels)
 
@@ -208,14 +219,14 @@ class TestRepairStep:
         dominated_by = frozenset(range(1, 60, 3))
         uncovered = frozenset(g.labels) - neighborhood(g, dominated_by, 1)
         assert uncovered and uncovered <= cliques
-        out = repair_step(g, dominated_by, cliques)
+        out = repair_step(g, dominated_by, error_report(g, cliques))
         assert len(out) == 2 == mds_size(g, uncovered)
         assert verify_domination(g, out, uncovered)
 
     def test_precondition_violation_is_internal(self):
         g = path(9)
         with pytest.raises(InvariantError):
-            repair_step(g, frozenset(), frozenset({0}))
+            repair_step(g, frozenset(), error_report(g, frozenset({0})))
 
     def test_decomposition_matches_undecomposed_oracle(self):
         for seed in range(4):
@@ -227,7 +238,7 @@ class TestRepairStep:
             uncovered = frozenset(g.labels) - neighborhood(g, dominated_by, 1)
             if not uncovered:
                 continue
-            out = repair_step(g, dominated_by, x)
+            out = repair_step(g, dominated_by, error_report(g, x))
             assert len(out) == mds_size(g, uncovered)
 
 
@@ -277,7 +288,7 @@ class TestAlgorithmB:
         g = generate(spec)
         res = algorithm_b(g, CFG)
         assert verify_domination(g, res.output, g.labels)
-        assert res.ledger.total == CFG.error_radius + measure_delta(g, res.errors.errors) + 2
+        assert res.ledger.total == CFG.error_radius + error_report(g, res.errors.errors).delta + 2
         assert res.ledger.view_collection == CFG.error_radius + 1
         assert res.ledger.repair == res.errors.delta + 1
 
@@ -288,6 +299,7 @@ class TestAlgorithmB:
             (1500, 8),
             pytest.param(5000, 20, marks=pytest.mark.stress),
             pytest.param(20000, 40, marks=pytest.mark.stress),
+            pytest.param(40000, 80, marks=pytest.mark.stress),
         ],
     )
     def test_rounds_independent_of_n(self, n, gadgets):
@@ -329,7 +341,7 @@ class TestAlgorithmB:
         ):
             g = generate(spec)
             x = t_error_set(g, PLANAR, t)
-            assert measure_delta(g, x) < genus_bound * (2 * t + 5)
+            assert error_report(g, x).delta < genus_bound * (2 * t + 5)
 
     def test_predicate_called_once_per_ranked_view(self, rng):
         # radius-15 views of path(40) fall into 16 ranked forms: the paths on 16..31 vertices

@@ -198,6 +198,20 @@ class TestWeakDiameter:
         with pytest.raises(InputError):
             weak_diameter(g, {0, 2})
 
+    def test_search_is_local(self):
+        # each member's search stops at the level that reaches the set's last
+        # member, so the lookups follow the set's spread, not the host's size
+        class CountingGraph(LabeledGraph):
+            lookups = 0
+
+            def neighbors(self, v):
+                self.lookups += 1
+                return super().neighbors(v)
+
+        g = CountingGraph.from_edges(10000, path(10000).edges())
+        assert weak_diameter(g, {5000, 5001, 5003}) == 3
+        assert g.lookups <= 20
+
     def test_at_most_diameter(self, rng):
         for _ in range(6):
             g = cycle(rng.randrange(4, 12))

@@ -64,6 +64,7 @@ class TestRunCell:
         report = run_cell(g, {}, {"alg": "B"})
         assert report.status == "ok"
         assert report.errors["errors"] == sorted(g.labels)
+        assert report.errors["radius"] == 15
         assert report.ledger["total"] == 15 + report.errors["delta"] + 2
 
     def test_large_graph_reports_ratio_upper_bound(self):
@@ -214,3 +215,12 @@ class TestRunReportSerialization:
 
         with pytest.raises(InputError):
             RunReport.from_json(json.dumps({"schema": "other", "graph": {}}))
+        valid = json.loads(run_cell(cycle(6), {}, {"alg": "A"}).to_json())
+        for text in (
+            '{"schema": "localmds.run_report@1"}',
+            "nope",
+            "[]",
+            json.dumps(dict(valid, extra=1)),
+        ):
+            with pytest.raises(InputError, match="^not a localmds run report"):
+                RunReport.from_json(text)
