@@ -29,7 +29,7 @@ from typing import Callable
 
 from .domination import DEFAULT_BUDGET, minimum_dominating_set
 from .errors import InputError, InvariantError, require_int
-from .graph import LabeledGraph, VertexSet, components, neighborhood, ranked_form, vertex_set, weak_diameter
+from .graph import BallView, LabeledGraph, VertexSet, components, neighborhood, ranked_form, vertex_set, weak_diameter
 from .nomination import ALPHA, K_UNIFORM, ROUNDS, algorithm_a
 from .planarity import ClassPredicate
 from .runtime import LocalAlgorithm, RoundLedger, memoised, rule_error, run_by_views
@@ -109,18 +109,18 @@ class ErrorSetReport:
 VERDICTS: dict[tuple, bool] = {}
 
 
-def _holds(predicate: ClassPredicate, h: LabeledGraph) -> bool:
-    """`predicate.test(h)`, memoised under the ranked form of h."""
+def _holds(predicate: ClassPredicate, h: LabeledGraph | BallView) -> bool:
+    """`predicate.test` on a graph h, or on a view h's subgraph, memoised under
+    `ranked_form(h)`; a view's subgraph is built only on a miss."""
     labels, edges = ranked_form(h)
-    return memoised(VERDICTS, (predicate, len(labels), edges), lambda: predicate.test(h))
+    key = (predicate, len(labels), edges)
+    return memoised(VERDICTS, key, lambda: predicate.test(h.subgraph if isinstance(h, BallView) else h))
 
 
 def detection_algorithm(predicate: ClassPredicate, radius: int) -> LocalAlgorithm:
     """Radius-`radius` rule flagging vertices whose view leaves the class."""
     require_int(radius, "detection radius", 0)
-    return LocalAlgorithm(
-        f"errors[{predicate.name},r={radius}]", radius, lambda view: not _holds(predicate, view.subgraph)
-    )
+    return LocalAlgorithm(f"errors[{predicate.name},r={radius}]", radius, lambda view: not _holds(predicate, view))
 
 
 def t_error_set(g: LabeledGraph, predicate: ClassPredicate, radius: int) -> VertexSet:

@@ -320,14 +320,11 @@ def best_minimum_dominating_set(
     greedy = _greedy(inst, allowed)
     witness = sorted(_search(inst, allowed, inst.target_mask, len(greedy) - 1) or greedy)
     m = len(witness)
-    suffix = [0] * (len(allowed) + 1)
-    for p in range(len(allowed) - 1, -1, -1):
-        suffix[p] = suffix[p + 1] | closed[allowed[p]]
     chosen: list[int] = []
     rem = inst.target_mask
     for p, c in enumerate(allowed):
         rest = rem & ~closed[c]
-        if rest == rem or rest & ~suffix[p + 1]:
+        if rest == rem:
             continue
         if witness[0] == c:
             witness.pop(0)

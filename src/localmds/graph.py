@@ -128,8 +128,9 @@ class BallView:
     Labels are those of the host graph.
 
     A rule sees only the ball. The host graph is a private field, read only
-    restricted to the ball: by `subgraph` and `ranked`, each computed on
-    first use, so a rule that needs only the ranked form builds no graph.
+    restricted to the ball: by `subgraph`, built on first use, and by
+    `ranked_form(view)`, which builds no graph, so a rule that needs only
+    the ranked form never pays for the subgraph.
     """
 
     center: int
@@ -141,11 +142,6 @@ class BallView:
     def subgraph(self) -> LabeledGraph:
         """The subgraph of the host induced on the ball."""
         return self._host.induced(self.dist)
-
-    @cached_property
-    def ranked(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """`ranked_form(self.subgraph)`, read off the host without building it."""
-        return ranked_form(self._host, self.dist)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -243,21 +239,20 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
     return best
 
 
-def ranked_form(
-    g: LabeledGraph, within: Iterable[int] | None = None
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def ranked_form(g: LabeledGraph | BallView) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Order-preserving compaction of a graph to labels 0..n-1.
 
     Returns (labels, edges) where labels[i] is the original label of rank i
     and edges are re-labeled by rank. Two graphs with equal ranked edges are
     isomorphic via a label-order-preserving map, so results of any
     computation that consults labels only through their relative order
-    transfer between them. With `within`, it is the ranked form of the
-    subgraph induced on `within`, read off g without building that subgraph.
+    transfer between them. A ball view's form is that of its subgraph, read
+    off the host restricted to the ball without building the subgraph: the
+    one key under which every memo stores a view's result.
     """
-    labels = g.labels if within is None else tuple(sorted(set(within)))
+    host, labels = (g._host, g.vertices) if isinstance(g, BallView) else (g, g.labels)
     pos = {v: i for i, v in enumerate(labels)}
-    edges = [(i, pos[w]) for i, v in enumerate(labels) for w in g.neighbors(v) if v < w and w in pos]
+    edges = [(i, pos[w]) for i, v in enumerate(labels) for w in host.neighbors(v) if v < w and w in pos]
     edges.sort()
     return labels, tuple(edges)
 

@@ -34,6 +34,17 @@ from .nomination import ALPHA, K_UNIFORM, algorithm_a_run
 from .planarity import PLANAR
 
 ORACLE_MAX_N = 25  # the exact optimum is computed only up to this many vertices
+CONFIG_KEYS = {"A": (), "B": ("control_fn", "k", "alpha", "dim")}  # the config keys each algorithm reads
+
+_NONE = type(None)
+# The JSON types each report field may have.
+_FIELD_TYPES = {
+    "graph": (dict,), "algorithm": (str,), "config": (dict,), "status": (str,), "message": (str,),
+    "output": (list, _NONE), "output_size": (int, _NONE), "optimum": (int, _NONE), "lower_bound": (int, _NONE),
+    "ratio": (float, int, _NONE), "ratio_upper_bound": (float, int, _NONE), "errors": (dict, _NONE),
+    "ledger": (dict, _NONE), "wall_clock_sec": (float, int, _NONE),
+}
+
 
 @dataclass
 class RunReport:
@@ -64,7 +75,13 @@ class RunReport:
             payload = json.loads(text)
             if not isinstance(payload, dict) or payload.pop("schema", None) != "localmds.run_report@1":
                 raise InputError("not a localmds run report")
-            payload["output"] = tuple(payload["output"]) if payload.get("output") is not None else None
+            for name, value in payload.items():
+                if name in _FIELD_TYPES and type(value) not in _FIELD_TYPES[name]:
+                    raise InputError(f"not a localmds run report: field {name!r} is a {type(value).__name__}")
+            output = payload.get("output")
+            if output is not None and any(type(v) is not int for v in output):
+                raise InputError("not a localmds run report: field 'output' holds a non-integer")
+            payload["output"] = None if output is None else tuple(output)
             return cls(**payload)
         except InputError:
             raise
@@ -131,10 +148,15 @@ def run_cell(
     try:
         require_int(oracle_max_n, "oracle_max_n")
         require_int(budget, "budget")
+        if alg not in CONFIG_KEYS:
+            raise InputError(f"unknown algorithm {alg!r} (expected 'A' or 'B')")
+        for key in config:
+            if key not in CONFIG_KEYS[alg]:
+                raise InputError(f"{alg} takes no config key {key!r} (it takes: {list(CONFIG_KEYS[alg])})")
         if alg == "A":
             run = algorithm_a_run(g)
             output, ledger = run.output, run.ledger
-        elif alg == "B":
+        else:
             cfg = build_b_config(config)
             result = algorithm_b(g, cfg, budget=budget)
             output, ledger = result.output, result.ledger
@@ -147,8 +169,6 @@ def run_cell(
                     for comp, wd in zip(result.errors.components, result.errors.weak_diameters)
                 ],
             }
-        else:
-            raise InputError(f"unknown algorithm {alg!r} (expected 'A' or 'B')")
         if not verify_domination(g, output, g.labels):
             raise InvariantError("algorithm output does not dominate the graph")
         report.output = tuple(sorted(output))

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size
 from .errors import InputError, InvariantError, require_int
-from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, vertex_set
+from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, ranked_form, vertex_set
 from .runtime import LocalAlgorithm, RoundLedger, memoised, run_by_views
 
 VIEW_RADIUS = 4
@@ -51,13 +51,13 @@ BEST_SETS: dict[tuple, tuple[int, ...]] = {}
 def best_local_set(view: BallView) -> VertexSet:
     """Best minimum dominating set of the distance-<=3 part of a radius-4 view.
 
-    Memoised in BEST_SETS under the view's ranked form; only a miss builds
-    the view's subgraph, and searches it.
+    Memoised in BEST_SETS under `ranked_form(view)`, read off the host;
+    only a miss builds the view's subgraph, and searches it.
     """
     if view.radius != VIEW_RADIUS:
         raise InputError(f"nomination rule needs radius-{VIEW_RADIUS} views, got {view.radius}")
     near = frozenset(v for v, d in view.dist.items() if d <= TARGET_RADIUS)
-    labels, edges = view.ranked
+    labels, edges = ranked_form(view)
     pos = {v: i for i, v in enumerate(labels)}
 
     def search() -> tuple[int, ...]:

@@ -13,7 +13,7 @@ Two execution semantics are provided and must agree on every input:
 
 Rules must be pure functions of the view (labels included); they may not
 depend on iteration order or external state. A rule sees only its ball:
-the view's distances, its induced subgraph and its ranked form, all
+the view's distances, its induced subgraph and `ranked_form(view)`, all
 restricted to the vertices within `radius` of the center.
 """
 from __future__ import annotations

@@ -35,12 +35,14 @@ for i, (spec, alg) in enumerate(cells):
 tracer.cell = None
 summary = spans.summarize(tracer.spans)
 b_cell = [span[0] for span in tracer.spans if span[4] == 0]
+a_cell = [span[0] for span in tracer.spans if span[4] == 1]
 print(json.dumps({
     "statuses": statuses,
     "planarity_cell_calls": summary.get("planarity", {}).get("cell_calls", 0),
     "detection_views": len(detection_views),
     "sub_runs": summary.get("composition.sub_run", {}).get("calls", 0),
     "b_cell_spans": {name: b_cell.count(name) for name in B_LAYER},
+    "a_cell_ranked_forms": a_cell.count("graph.ranked_form"),
 }))
 """
 
@@ -64,3 +66,5 @@ def test_traced_cells_run_through_every_hook():
     assert b_cell["composition.repair_step"] >= 1
     assert b_cell["composition.error_set"] >= 1
     assert b_cell["graph.components"] == 2
+    # A keys each of the 4x4 grid's 16 views through a name the hooks rebind
+    assert result["a_cell_ranked_forms"] == 16

@@ -99,6 +99,20 @@ class TestRunCell:
         assert report.output is None
 
     @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"alg": "B", "K": 9}, "B takes no config key 'K' (it takes: ['control_fn', 'k', 'alpha', 'dim'])"),
+            ({"alg": "A", "k": 2}, "A takes no config key 'k' (it takes: [])"),
+        ],
+    )
+    def test_unknown_config_key_is_an_input_error(self, config, message):
+        # a key no algorithm reads would otherwise run the defaults while the
+        # CSV config column records the key
+        report = run_cell(path(6), {}, config)
+        assert (report.status, report.message) == ("input", message)
+        assert report.output is None
+
+    @pytest.mark.parametrize(
         "alg, keyword, message",
         [
             ("A", {"oracle_max_n": "x"}, "oracle_max_n must be an integer, got 'x'"),
@@ -221,6 +235,10 @@ class TestRunReportSerialization:
             "nope",
             "[]",
             json.dumps(dict(valid, extra=1)),
+            json.dumps(dict(valid, output="12", output_size="two")),
+            json.dumps(dict(valid, output=[1, "2"])),
+            json.dumps(dict(valid, output_size=True)),
+            json.dumps(dict(valid, ledger=[])),
         ):
             with pytest.raises(InputError, match="^not a localmds run report"):
                 RunReport.from_json(text)

@@ -11,6 +11,7 @@ from localmds import (
     LabeledGraph,
     LocalAlgorithm,
     all_minimum_dominating_sets,
+    ball,
     best_minimum_dominating_set,
     mds_size,
     minimum_dominating_set,
@@ -65,16 +66,17 @@ def test_domination_oracles_agree_with_exhaustion(instance):
 
 
 @given(graphs(), st.data())
-def test_ranked_form_within_equals_ranked_form_of_induced(g, data):
-    within = data.draw(st.frozensets(st.integers(0, g.n - 1)))
-    assert ranked_form(g, within) == ranked_form(g.induced(within))
+def test_ranked_form_of_ball_equals_ranked_form_of_its_subgraph(g, data):
+    # a view's form is read off the host, restricted to the ball
+    view = ball(g, data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, 3)))
+    assert ranked_form(view) == ranked_form(view.subgraph)
 
 
 def _whole_view(view):
     # edges() order follows how a graph was built, so compare them sorted;
-    # view.ranked is read off the host, so check it against the built subgraph
-    assert view.ranked == ranked_form(view.subgraph)
-    return view.vertices, tuple(sorted(view.subgraph.edges())), tuple(sorted(view.dist.items())), view.ranked
+    # a view's ranked form is read off the host, so check it against the built subgraph
+    assert ranked_form(view) == ranked_form(view.subgraph)
+    return view.vertices, tuple(sorted(view.subgraph.edges())), tuple(sorted(view.dist.items())), ranked_form(view)
 
 
 @given(graphs(), st.integers(0, 3))

@@ -177,10 +177,19 @@ class TestMemoised:
         assert len(nomination.BEST_SETS) == 81
 
     def test_verdicts_hold_one_key_per_predicate_call(self):
-        # radius-15 views of a 40-vertex path are paths of 16..31 vertices
+        # radius-15 views of a 40-vertex path are paths of 16..31 vertices;
+        # a view is keyed off its host, so only a verdict miss builds its graph
+        class CountingGraph(LabeledGraph):
+            built = 0
+
+            def induced(self, keep):
+                CountingGraph.built += 1
+                return super().induced(keep)
+
+        host = CountingGraph({v: path(40).neighbors(v) for v in range(40)})
         composition.VERDICTS.clear()
-        t_error_set(path(40), PLANAR, 15)
-        assert len(composition.VERDICTS) == 16
+        assert t_error_set(host, PLANAR, 15) == frozenset()
+        assert CountingGraph.built == len(composition.VERDICTS) == 16
 
     def test_a_raising_compute_stores_nothing(self):
         memo, calls = {}, []
