@@ -14,7 +14,6 @@ from .composition import (
     detection_algorithm,
     error_report,
     error_set,
-    linear_control,
     parse_control,
     repair_step,
     t_error_set,

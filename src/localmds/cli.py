@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-max-n", type=int, default=ORACLE_MAX_N)
     p.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="search-node cap for B's repair searches and the optimum oracle; A's searches keep the default",
+        help="search-node cap (an integer >= 0) of B's repair searches and the optimum oracle; A's keep the default",
     )
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_run)
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--best", action="store_true", help="also report the best minimum set")
     p.add_argument("--all", action="store_true", help="also enumerate every minimum set")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node cap for each query")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node cap (an integer >= 0) for each query")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify", help="verify domination and/or planarity")

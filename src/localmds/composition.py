@@ -38,11 +38,6 @@ CONTROL = "linear:1"  # B's default control function, as parse_control reads it
 DIM = 2  # B's default dimension: that of planar graphs under a linear control function
 
 
-def linear_control(c: int = 1) -> Callable[[int], int]:
-    require_int(c, "linear control factor", 1)
-    return lambda x: c * x
-
-
 def parse_control(spec: str) -> Callable[[int], int]:
     """Parse a control-function spec of the form 'linear:c'."""
     kind, _, arg = spec.partition(":")
@@ -52,7 +47,8 @@ def parse_control(spec: str) -> Callable[[int], int]:
         except ValueError:
             pass
         else:
-            return linear_control(c)
+            require_int(c, "linear control factor", 1)
+            return lambda x: c * x
     raise InputError(f"unknown control function {spec!r} (expected 'linear:c')")
 
 

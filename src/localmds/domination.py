@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EnumerationBudgetError, InvariantError
+from .errors import EnumerationBudgetError, InvariantError, require_int
 from .graph import LabeledGraph, VertexSet, neighborhood, vertex_set
 
 DEFAULT_BUDGET = 10**6
@@ -61,11 +61,11 @@ class _Instance:
     __slots__ = ("labels", "pos", "closed", "target_mask", "cands", "budget", "used", "query")
 
     def __init__(self, g: LabeledGraph, target: Iterable[int], query: str, budget: int):
+        self.budget = require_int(budget, "budget", 0)
         self.labels = g.labels
         self.pos, self.closed = _closed_masks(g)
         self.target_mask = tmask = self.mask(vertex_set(g, target, "target"))
         self.cands = [i for i, m in enumerate(self.closed) if m & tmask]
-        self.budget = budget
         self.used = 0  # search nodes so far, over the whole query
         self.query = query  # the public function, named in a budget error
 

@@ -4,7 +4,7 @@ A suite is a JSON-able dict:
 
     {
       "oracle_max_n": 25,            # exact optimum only up to this size
-      "budget": 1000000,             # node cap of each repair search and oracle call
+      "budget": 1000000,             # node cap (an int >= 0) of each repair search and oracle call
       "graphs": [{"family": "grid", "params": {"rows": 3, "cols": 4}, "seed": 0}, ...],
       "algorithms": [{"alg": "A"},
                      {"alg": "B", "control_fn": "linear:1", "k": 4,
@@ -14,7 +14,7 @@ A suite is a JSON-able dict:
 Each (graph, algorithm) cell yields one RunReport row; cell failures are
 recorded in the row and never abort the suite. CSV output excludes wall
 clocks so identical seeds give byte-identical files; full reports,
-including wall clocks, serialize to JSON.
+including wall clocks, are written as JSON that any JSON parser reads.
 """
 from __future__ import annotations
 
@@ -35,15 +35,6 @@ from .planarity import PLANAR
 
 ORACLE_MAX_N = 25  # the exact optimum is computed only up to this many vertices
 CONFIG_KEYS = {"A": (), "B": ("control_fn", "k", "alpha", "dim")}  # the config keys each algorithm reads
-
-_NONE = type(None)
-# The JSON types each report field may have.
-_FIELD_TYPES = {
-    "graph": (dict,), "algorithm": (str,), "config": (dict,), "status": (str,), "message": (str,),
-    "output": (list, _NONE), "output_size": (int, _NONE), "optimum": (int, _NONE), "lower_bound": (int, _NONE),
-    "ratio": (float, int, _NONE), "ratio_upper_bound": (float, int, _NONE), "errors": (dict, _NONE),
-    "ledger": (dict, _NONE), "wall_clock_sec": (float, int, _NONE),
-}
 
 
 @dataclass
@@ -68,25 +59,6 @@ class RunReport:
     def to_json(self) -> str:
         payload = {"schema": "localmds.run_report@1", **asdict(self)}
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict) or payload.pop("schema", None) != "localmds.run_report@1":
-                raise InputError("not a localmds run report")
-            for name, value in payload.items():
-                if name in _FIELD_TYPES and type(value) not in _FIELD_TYPES[name]:
-                    raise InputError(f"not a localmds run report: field {name!r} is a {type(value).__name__}")
-            output = payload.get("output")
-            if output is not None and any(type(v) is not int for v in output):
-                raise InputError("not a localmds run report: field 'output' holds a non-integer")
-            payload["output"] = None if output is None else tuple(output)
-            return cls(**payload)
-        except InputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"not a localmds run report: {exc}") from None
 
 
 def distance3_lower_bound(g: LabeledGraph) -> int:
@@ -127,6 +99,12 @@ def build_b_config(alg_config: dict) -> BConfig:
     return BConfig(PLANAR, control, k=get("k", K_UNIFORM), alpha=get("alpha", ALPHA), dim=get("dim", DIM))
 
 
+def _row(graph: dict, alg_config: dict) -> RunReport:
+    """A row that has not run yet: the graph descriptor, the algorithm and its config without `alg`."""
+    config = {k: v for k, v in alg_config.items() if k != "alg"}
+    return RunReport(graph=graph, algorithm=str(alg_config.get("alg", "")), config=config)
+
+
 def run_cell(
     g: LabeledGraph,
     descriptor: dict,
@@ -141,13 +119,12 @@ def run_cell(
     optimum oracle, not A's per-view searches (also in B's sub-run): those
     keep DEFAULT_BUDGET, because their results are cached per ranked view.
     """
-    alg = str(alg_config.get("alg", ""))
-    config = {k: v for k, v in alg_config.items() if k != "alg"}
-    report = RunReport(graph=dict(descriptor, n=g.n, m=g.m), algorithm=alg, config=config)
+    report = _row(dict(descriptor, n=g.n, m=g.m), alg_config)
+    alg, config = report.algorithm, report.config
     start = time.perf_counter()
     try:
         require_int(oracle_max_n, "oracle_max_n")
-        require_int(budget, "budget")
+        require_int(budget, "budget", 0)
         if alg not in CONFIG_KEYS:
             raise InputError(f"unknown algorithm {alg!r} (expected 'A' or 'B')")
         for key in config:
@@ -201,7 +178,7 @@ def experiment(suite: dict) -> tuple[list[RunReport], dict]:
     if not isinstance(suite, dict) or not all(isinstance(suite.get(k), (list, tuple)) for k in entries):
         raise InputError("suite must be a dict with 'graphs' and 'algorithms' lists")
     oracle_max_n = require_int(suite.get("oracle_max_n", ORACLE_MAX_N), "suite oracle_max_n")
-    budget = require_int(suite.get("budget", DEFAULT_BUDGET), "suite budget")
+    budget = require_int(suite.get("budget", DEFAULT_BUDGET), "suite budget", 0)
     for i, alg_config in enumerate(suite["algorithms"]):
         _suite_object(alg_config, f"algorithms[{i}]")
     specs = []
@@ -217,15 +194,9 @@ def experiment(suite: dict) -> tuple[list[RunReport], dict]:
             g = generate(spec)
         except Exception as exc:  # noqa: BLE001 - recorded per cell, suite continues
             for alg_config in suite["algorithms"]:
-                reports.append(
-                    RunReport(
-                        graph=descriptor,
-                        algorithm=str(alg_config.get("alg", "")),
-                        config={k: v for k, v in alg_config.items() if k != "alg"},
-                        status=error_category(exc),
-                        message=str(exc),
-                    )
-                )
+                report = _row(descriptor, alg_config)
+                report.status, report.message = error_category(exc), str(exc)
+                reports.append(report)
             continue
         for alg_config in suite["algorithms"]:
             reports.append(
@@ -236,22 +207,18 @@ def experiment(suite: dict) -> tuple[list[RunReport], dict]:
 
 def aggregate(reports: Iterable[RunReport]) -> dict:
     """Per-algorithm aggregates: cell counts, failures, max/mean realized ratio."""
-    out: dict[str, dict] = {}
+    rows_of: dict[str, list[RunReport]] = {}
     for r in reports:
-        agg = out.setdefault(
-            r.algorithm,
-            {"cells": 0, "failures": 0, "max_ratio": None, "mean_ratio": None, "_ratios": []},
-        )
-        agg["cells"] += 1
-        if r.status != "ok":
-            agg["failures"] += 1
-        if r.ratio is not None:
-            agg["_ratios"].append(r.ratio)
-    for agg in out.values():
-        ratios = agg.pop("_ratios")
-        if ratios:
-            agg["max_ratio"] = max(ratios)
-            agg["mean_ratio"] = sum(ratios) / len(ratios)
+        rows_of.setdefault(r.algorithm, []).append(r)
+    out = {}
+    for alg, rows in rows_of.items():
+        ratios = [r.ratio for r in rows if r.ratio is not None]
+        out[alg] = {
+            "cells": len(rows),
+            "failures": sum(r.status != "ok" for r in rows),
+            "max_ratio": max(ratios, default=None),
+            "mean_ratio": sum(ratios) / len(ratios) if ratios else None,
+        }
     return out
 
 

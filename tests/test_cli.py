@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from localmds import read_edge_list, write_edge_list, write_vertex_set
+from localmds import read_edge_list, verify_domination, write_edge_list, write_vertex_set
 from localmds.cli import main
 from conftest import grid, path
 
@@ -54,6 +54,7 @@ class TestRun:
         payload = json.loads(rfile.read_text())
         assert payload["schema"] == "localmds.run_report@1"
         assert payload["ledger"]["total"] == 5
+        assert verify_domination(grid(3, 4), payload["output"], range(12))
 
     def test_run_b_flags(self, tmp_path, capsys):
         gfile = tmp_path / "g.edges"
@@ -195,6 +196,7 @@ class TestMeasure:
             ({"graphs": [{"family": "path", "params": [["n", 4]]}]}, "graphs[0].params"),
             ({"graphs": [{"family": "path", "params": {"n": 4}, "seed": 1.5}]}, "graphs[0].seed"),
             ({"budget": None}, "budget"),
+            ({"budget": -1}, "budget"),
         ],
     )
     def test_measure_malformed_suite(self, tmp_path, capsys, change, entry):

@@ -20,7 +20,6 @@ from localmds import (
     error_set,
     generate,
     is_planar,
-    linear_control,
     mds_size,
     neighborhood,
     parse_control,
@@ -42,7 +41,7 @@ def counted_planar(calls):
 class TestBConfig:
     def test_derived_radius(self):
         assert CFG.error_radius == 15  # linear:1 control, k=4, r=5
-        wide = BConfig(predicate=PLANAR, control=linear_control(2))
+        wide = BConfig(predicate=PLANAR, control=parse_control("linear:2"))
         assert wide.error_radius == 25
 
     def test_radius_dominates_sub_constants(self):

@@ -21,6 +21,17 @@ from localmds.domination import _greedy, _Instance
 from reference import exhaustive_all_mds, exhaustive_mds_size, milp_mds_size, strictly_dominated_by_pairs
 
 
+@pytest.mark.parametrize(
+    "query", [mds_size, minimum_dominating_set, all_minimum_dominating_sets, best_minimum_dominating_set]
+)
+@pytest.mark.parametrize("budget", ["x", None, 1.5, True, -1])
+def test_bad_budget_is_an_input_error(query, budget):
+    # every query checks its budget before it searches, so none runs on a bad one
+    g = path(6)
+    with pytest.raises(InputError, match="^budget must be "):
+        query(g, g.labels, budget=budget)
+
+
 class TestVerifyDomination:
     def test_self_domination(self):
         g = cycle(5)
