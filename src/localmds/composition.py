@@ -39,16 +39,12 @@ DIM = 2  # B's default dimension: that of planar graphs under a linear control f
 
 
 def parse_control(spec: str) -> Callable[[int], int]:
-    """Parse a control-function spec of the form 'linear:c'."""
+    """Parse a control-function spec of the form 'linear:c', c in ASCII digits (1 when empty)."""
     kind, _, arg = spec.partition(":")
-    if kind == "linear":
-        try:
-            c = int(arg) if arg else 1
-        except ValueError:
-            pass
-        else:
-            require_int(c, "linear control factor", 1)
-            return lambda x: c * x
+    if kind == "linear" and (not arg or (arg.isascii() and arg.isdigit())):
+        c = int(arg) if arg else 1
+        require_int(c, "linear control factor", 1)
+        return lambda x: c * x
     raise InputError(f"unknown control function {spec!r} (expected 'linear:c')")
 
 

@@ -13,6 +13,14 @@ and then as a feasibility test on a prefix. The best set searches a
 prefix only when the last completion found does not already prove it can
 be finished. `budget` caps the search nodes of one whole query.
 
+The search prunes with two lower bounds on the members still needed: the
+coverage bound ceil(|uncovered| / best coverage), and a packing bound
+(van Rooij & Bodlaender, *Exact algorithms for dominating set*, DAM 2011):
+uncovered vertices no two of which share a candidate still allowed each
+need a member of their own. Both prune only subtrees that hold no cover
+within the limit, so the search meets the same covers in the same order
+with or without them.
+
 Each query builds one table of closed-neighborhood bitmasks, N[v] per
 vertex position, and reads all coverage from it: N[.] is symmetric, so
 `closed[c] & mask` answers both "what does c cover" and "who covers b".
@@ -48,7 +56,13 @@ def _bits(mask: int):
 def _closed_masks(g: LabeledGraph) -> tuple[dict[int, int], list[int]]:
     """Each label's position in g.labels, and each position's N[v] as a bitmask."""
     pos = {v: i for i, v in enumerate(g.labels)}
-    return pos, [sum(1 << pos[w] for w in g.closed_neighborhood(v)) for v in g.labels]
+    closed = []
+    for i, v in enumerate(g.labels):
+        mask = 1 << i
+        for w in g.neighbors(v):
+            mask |= 1 << pos[w]
+        closed.append(mask)
+    return pos, closed
 
 
 class _Instance:
@@ -90,11 +104,25 @@ def _greedy(inst: _Instance, cands: list[int]) -> list[int]:
     return chosen
 
 
-def _common(sets: list[int], members: int, everyone: int) -> int:
-    """Keys in `everyone` holding every member: the AND of each member e's holder mask sets[e]."""
+def _common(sets: list[int], members: int, everyone: int, floor: int = 0) -> int:
+    """Keys in `everyone` holding every member: the AND of each member e's holder mask sets[e].
+
+    `floor` is a set of keys known to be in the answer; the AND stops once
+    only they are left.
+    """
     for e in _bits(members):
         everyone &= sets[e]
+        if everyone == floor:
+            break
     return everyone
+
+
+def _union(sets: list[int], members: int) -> int:
+    """The OR of sets[e] over the members e."""
+    out = 0
+    for e in _bits(members):
+        out |= sets[e]
+    return out
 
 
 def _dominated(closed: list[int], scope: int) -> int:
@@ -102,11 +130,12 @@ def _dominated(closed: list[int], scope: int) -> int:
 
     N[v] lies inside N[w] exactly when w is in N[u] for every u in N[v]:
     v's containers are the common holders of N[v]'s members, so only
-    vertices within distance 2 are compared.
+    vertices within distance 2 are compared. v holds all of them itself,
+    so the AND stops once only v is left.
     """
     out = 0
     for v in _bits(scope):
-        if any(closed[w] != closed[v] for w in _bits(_common(closed, closed[v], scope))):
+        if any(closed[w] != closed[v] for w in _bits(_common(closed, closed[v], scope, 1 << v))):
             out |= 1 << v
     return out
 
@@ -145,6 +174,43 @@ def _reduce(inst: _Instance) -> tuple[list[int], int]:
         cands = kept
 
 
+class _Lazy(dict):
+    """A per-call table whose entry for a key is built the first time it is read."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _packing(closed: list[int], classes: list[int], rem: int, free: int, reach: dict[int, int], room: int) -> int:
+    """A lower bound on the members of `free` that cover `rem`, or `room` + 1 once it exceeds `room`.
+
+    Walks `rem` class by class, lowest bit first, and keeps each vertex u
+    that no kept vertex blocks; keeping u blocks `reach[u]`, everything
+    that u's dominators cover. So no candidate covers two kept vertices,
+    and each needs a member of its own. A visited vertex with no dominator
+    in `free` cannot be covered at all.
+    """
+    kept = 0
+    blocked = 0
+    for cls in classes:
+        todo = rem & cls & ~blocked
+        while todo:
+            u = (todo & -todo).bit_length() - 1
+            if kept == room or not closed[u] & free:
+                return room + 1
+            kept += 1
+            blocked |= reach[u]
+            todo &= ~blocked
+    return kept
+
+
 def _search(
     inst: _Instance,
     cands: list[int],
@@ -159,7 +225,9 @@ def _search(
     takes that vertex's dominator i and bans dominators 0..i-1, so the
     children partition the covers below their parent. A node is pruned
     when ceil(|uncovered| / best coverage) more members would exceed
-    `limit`.
+    `limit`, and then when a packing of the uncovered vertices does:
+    `_packing` finds uncovered vertices no two of which share a candidate
+    still allowed, so each needs a member of its own.
 
     A node costs a few mask operations, not a walk over every bit. The
     set-up groups the vertices into one mask per dominator count, so the
@@ -168,7 +236,10 @@ def _search(
     when g >= ceil(r / s): with r uncovered and s = `limit` - chosen, the
     node survives iff a member covers ceil(r / s). Members are walked by
     static coverage, which bounds their gain, up to the first one that
-    meets the threshold or is too small to.
+    meets the threshold or is too small to. The packing walks the same
+    classes. A vertex's dominator list (by static coverage) and its
+    `reach`, the union of N[c] over its dominators c, are built the first
+    time a node reads them and kept for the call.
 
     Without `found`, returns the first strictly smallest cover met, or
     None: each cover found lowers `limit` to one below its size. With
@@ -180,14 +251,15 @@ def _search(
     order = [c for _, c in ranked]
     masks = [closed[c] for c in order]
     sizes = [-s for s, _ in ranked]
-    dominators: dict[int, list[int]] = {b: [] for b in _bits(rem)}
-    for c, m in zip(order, masks):
-        for b in _bits(m & rem):
-            dominators[b].append(c)
+    rank = {c: i for i, c in enumerate(order)}
+    live = sum(1 << c for c in order)
     by_degree: dict[int, int] = {}
-    for b, d in dominators.items():
-        by_degree[len(d)] = by_degree.get(len(d), 0) | 1 << b
+    for b in _bits(rem):
+        d = (closed[b] & live).bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << b
     classes = [by_degree[k] for k in sorted(by_degree)]
+    dominators = _Lazy(lambda b: sorted(_bits(closed[b] & live), key=rank.__getitem__))
+    reach = _Lazy(lambda u: _union(closed, closed[u] & live))
     best = None
     stack = [(rem, (), 0)]  # (uncovered, chosen, banned candidates as a mask)
     while stack:
@@ -219,6 +291,8 @@ def _search(
             continue  # no member covers `need` uncovered vertices
         if size < need:
             continue  # no later member can either: static coverage bounds gain
+        if _packing(closed, classes, rem, live & ~banned, reach, limit - count) > limit - count:
+            continue
         for cls in classes:
             low = rem & cls
             if low:

@@ -81,12 +81,17 @@ class TestBConfig:
             parse_control("cubic:2")
 
     def test_parse_control_keeps_the_factor_check(self):
-        # InputError is a ValueError, so only the parse may sit inside the
-        # try that turns a bad number into "unknown control function"
         with pytest.raises(InputError, match="^linear control factor must be >= 1, got 0$"):
             parse_control("linear:0")
         with pytest.raises(InputError, match="^unknown control function 'linear:x'"):
             parse_control("linear:x")
+
+    @pytest.mark.parametrize("spec", ["linear:1_0", "linear: 3", "linear:3 ", "linear:+2", "linear:-1", "linear:\u0663"])
+    def test_parse_control_takes_ascii_digits_only(self, spec):
+        # int() would read each of these as a factor; the CSV would then
+        # record a spec that README's 'linear:c' form does not allow
+        with pytest.raises(InputError, match="^unknown control function"):
+            parse_control(spec)
 
 
 class TestErrorSet:

@@ -1,7 +1,10 @@
 """Differential property tests: the fast paths against the slow references
-in `reference.py`, the view executor against the flooding executor, and
-B's component-first error set against the per-vertex one, on small graphs
-drawn by hypothesis (see the settings profile in conftest.py)."""
+in `reference.py`, the search's packing bound against exhaustion, the view
+executor against the flooding executor, and B's component-first error set
+against the per-vertex one, on small graphs drawn by hypothesis (see the
+settings profile in conftest.py)."""
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from localmds import (
     t_error_set,
 )
 from localmds.composition import component_error_set
+from localmds.domination import _closed_masks, _packing, _union
 from conftest import disjoint_union
 from reference import exhaustive_all_mds, exhaustive_mds_size, strictly_dominated_by_pairs
 
@@ -63,6 +67,31 @@ def test_domination_oracles_agree_with_exhaustion(instance):
     discard = strictly_dominated_by_pairs(g, compare)
     survivors = [s for s in optima if not s & discard]
     assert best_minimum_dominating_set(g, target, compare=compare) == min(survivors, key=sorted)
+
+
+@given(graphs(), st.data())
+def test_packing_bound_never_exceeds_the_optimum(g, data):
+    # the search prunes a node when this bound exceeds the members it may
+    # still add, so a bound above the fewest free candidates that cover
+    # `rem` would prune covers away; it must hold for any class order
+    closed = [sum(1 << w for w in g.closed_neighborhood(v)) for v in g.labels]
+    assert _closed_masks(g)[1] == closed
+    mask = st.integers(0, (1 << g.n) - 1)
+    rem, live, banned = data.draw(mask), data.draw(mask), data.draw(mask)
+    free = live & ~banned
+    label = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    classes = [sum(1 << v for v in g.labels if label[v] == k) for k in range(4)]
+    reach = {u: _union(closed, closed[u] & live) for u in g.labels}
+    members = [c for c in g.labels if free >> c & 1]
+    uncovered = {v for v in g.labels if rem >> v & 1}
+    sizes = [
+        size
+        for size in range(len(members) + 1)
+        for chosen in itertools.combinations(members, size)
+        if uncovered <= set().union(*(g.closed_neighborhood(c) for c in chosen))
+    ]
+    room = data.draw(st.integers(0, g.n))
+    assert _packing(closed, classes, rem, free, reach, room) <= min(sizes + [room + 1])
 
 
 @given(graphs(), st.data())

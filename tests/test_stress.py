@@ -21,18 +21,12 @@ from reference import milp_mds_size
 pytestmark = pytest.mark.stress
 
 
-def test_torus_8x8_repair_exceeds_default_budget():
-    # B repairs this torus whole; within 10^6 nodes the size search finds a
-    # 16-cover below greedy's 17 but cannot prove it optimal
+def test_torus_8x8_minimum_set_within_default_budget():
+    # B repairs this torus whole. With the packing bound the search proves
+    # the 16-cover optimal in 497,845 nodes; the coverage bound alone took
+    # 2,322,750 and so exceeded the default budget
     g = generate(GeneratorSpec("toroidalGrid", {"rows": 8, "cols": 8}))
-    with pytest.raises(EnumerationBudgetError):
-        minimum_dominating_set(g, g.labels)
-
-
-def test_torus_8x8_minimum_set_within_raised_budget():
-    # the same search ends after 2,322,750 nodes: the ceiling's measured size
-    g = generate(GeneratorSpec("toroidalGrid", {"rows": 8, "cols": 8}))
-    best = minimum_dominating_set(g, g.labels, budget=3 * 10**6)
+    best = minimum_dominating_set(g, g.labels)
     assert len(best) == 16
     assert verify_domination(g, best, g.labels)
 
@@ -48,6 +42,35 @@ def test_long_path_size():
     assert mds_size(g, g.labels) == 667
 
 
-def test_algorithm_a_on_triangulation_400():
-    g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 400}, seed=1))
+def test_torus_11x11_minimum_set_exceeds_default_budget():
+    g = generate(GeneratorSpec("toroidalGrid", {"rows": 11, "cols": 11}))
+    with pytest.raises(EnumerationBudgetError):
+        minimum_dominating_set(g, g.labels)
+
+
+def test_grid_10x10_minimum_set_exceeds_default_budget():
+    # the packing bound rarely prunes on grids: the search still fails, after about 4 s
+    g = generate(GeneratorSpec("grid", {"rows": 10, "cols": 10}))
+    with pytest.raises(EnumerationBudgetError):
+        minimum_dominating_set(g, g.labels)
+
+
+def test_algorithm_b_on_torus_10x10():
+    # the error set is the whole torus, so the repair is one exact search
+    g = generate(GeneratorSpec("toroidalGrid", {"rows": 10, "cols": 10}))
+    report = run_cell(g, {}, {"alg": "B"})
+    assert (report.status, report.output_size) == ("ok", 20)
+
+
+@pytest.mark.parametrize("n", [400, 500])
+def test_algorithm_a_on_triangulation(n):
+    g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": n}, seed=1))
     assert run_cell(g, {}, {"alg": "A"}).status == "ok"
+
+
+def test_algorithm_a_on_triangulation_800_exceeds_default_budget():
+    # a hub's radius-3 target is most of the graph, and its best-set search runs out
+    g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 800}, seed=1))
+    report = run_cell(g, {}, {"alg": "A"})
+    assert report.status == "resource"
+    assert "best_minimum_dominating_set: exact search exceeded" in report.message
