@@ -22,7 +22,8 @@ within the limit, so the search meets the same covers in the same order
 with or without them.
 
 Each query builds one table of closed-neighborhood bitmasks, N[v] per
-vertex position, and reads all coverage from it: N[.] is symmetric, so
+vertex position, from a graph or from a ball view's host restricted to
+the ball, and reads all coverage from it: N[.] is symmetric, so
 `closed[c] & mask` answers both "what does c cover" and "who covers b".
 The reductions, the search and the strict-containment discard share it.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import EnumerationBudgetError, InvariantError, require_int
-from .graph import LabeledGraph, VertexSet, neighborhood, vertex_set
+from .graph import BallView, LabeledGraph, VertexSet, neighborhood, vertex_set
 
 DEFAULT_BUDGET = 10**6
 
@@ -53,14 +54,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _closed_masks(g: LabeledGraph) -> tuple[dict[int, int], list[int]]:
-    """Each label's position in g.labels, and each position's N[v] as a bitmask."""
-    pos = {v: i for i, v in enumerate(g.labels)}
+def _closed_masks(g: LabeledGraph | BallView) -> tuple[dict[int, int], list[int]]:
+    """Each label's position in label order, and each position's N[v] as a bitmask (a view's off its host)."""
+    host, labels = (g._host, g.vertices) if isinstance(g, BallView) else (g, g.labels)
+    pos = {v: i for i, v in enumerate(labels)}
     closed = []
-    for i, v in enumerate(g.labels):
+    for i, v in enumerate(labels):
         mask = 1 << i
-        for w in g.neighbors(v):
-            mask |= 1 << pos[w]
+        for w in host.neighbors(v):
+            if w in pos:
+                mask |= 1 << pos[w]
         closed.append(mask)
     return pos, closed
 
@@ -74,10 +77,10 @@ class _Instance:
 
     __slots__ = ("labels", "pos", "closed", "target_mask", "cands", "budget", "used", "query")
 
-    def __init__(self, g: LabeledGraph, target: Iterable[int], query: str, budget: int):
+    def __init__(self, g: LabeledGraph | BallView, target: Iterable[int], query: str, budget: int):
         self.budget = require_int(budget, "budget", 0)
-        self.labels = g.labels
         self.pos, self.closed = _closed_masks(g)
+        self.labels = tuple(self.pos)
         self.target_mask = tmask = self.mask(vertex_set(g, target, "target"))
         self.cands = [i for i, m in enumerate(self.closed) if m & tmask]
         self.used = 0  # search nodes so far, over the whole query
@@ -96,23 +99,23 @@ def _greedy(inst: _Instance, cands: list[int]) -> list[int]:
     rem = inst.target_mask
     chosen: list[int] = []
     while rem:
-        best = max(cands, key=lambda i: (closed[i] & rem).bit_count())
-        if not closed[best] & rem:
+        best, gain = -1, 0
+        for i in cands:
+            covers = (closed[i] & rem).bit_count()
+            if covers > gain:
+                best, gain = i, covers
+        if not gain:
             raise InvariantError("greedy cover: no candidate covers the uncovered target vertices")
         chosen.append(best)
         rem &= ~closed[best]
     return chosen
 
 
-def _common(sets: list[int], members: int, everyone: int, floor: int = 0) -> int:
-    """Keys in `everyone` holding every member: the AND of each member e's holder mask sets[e].
-
-    `floor` is a set of keys known to be in the answer; the AND stops once
-    only they are left.
-    """
+def _common(sets: list[int], members: int, everyone: int) -> int:
+    """Keys in `everyone` holding every member: the AND of each member e's holder mask sets[e]."""
     for e in _bits(members):
         everyone &= sets[e]
-        if everyone == floor:
+        if not everyone:
             break
     return everyone
 
@@ -128,14 +131,13 @@ def _union(sets: list[int], members: int) -> int:
 def _dominated(closed: list[int], scope: int) -> int:
     """Positions v in `scope` with some w in `scope` such that N[v] is strictly inside N[w].
 
-    N[v] lies inside N[w] exactly when w is in N[u] for every u in N[v]:
-    v's containers are the common holders of N[v]'s members, so only
-    vertices within distance 2 are compared. v holds all of them itself,
-    so the AND stops once only v is left.
+    Such a w holds v in N[w], so w is in N(v): only v's neighbours in
+    `scope` are compared, each with one AND.
     """
     out = 0
     for v in _bits(scope):
-        if any(closed[w] != closed[v] for w in _bits(_common(closed, closed[v], scope, 1 << v))):
+        cv = closed[v]
+        if any(cv & closed[w] == cv != closed[w] for w in _bits(cv & scope & ~(1 << v))):
             out |= 1 << v
     return out
 
@@ -354,7 +356,7 @@ def strictly_dominated(g: LabeledGraph, within: Iterable[int] | None = None) -> 
 
 
 def best_minimum_dominating_set(
-    g: LabeledGraph,
+    g: LabeledGraph | BallView,
     target: Iterable[int],
     *,
     compare: Iterable[int] | None = None,
@@ -369,9 +371,11 @@ def best_minimum_dominating_set(
     preserves minimality, and the swap chain terminates at maximal
     neighborhoods.
 
-    Neighborhoods are taken in the graph passed in; `compare` restricts
-    which vertices participate in the strict-containment comparison (used
-    by callers whose views have truncated boundary neighborhoods).
+    Neighborhoods are taken in the graph passed in, or for a `BallView` in
+    its host restricted to the ball, with no subgraph built; `compare`
+    restricts which vertices participate in the strict-containment
+    comparison (used by callers whose views have truncated boundary
+    neighborhoods).
 
     The size m comes from a search over the non-discarded ("allowed")
     candidates alone, below a greedy cover over them: by the swap argument
@@ -384,10 +388,12 @@ def best_minimum_dominating_set(
     completion of the chosen prefix that the last search (or the size
     search) found, makes most of those searches unnecessary: when its
     smallest member is the candidate at hand, the rest of it finishes an
-    optimum from later candidates, so the search could only say yes.
+    optimum from later candidates, so the search could only say yes. A
+    prefix one short of m that leaves something uncovered is rejected with
+    no search: there is no room left.
     """
     inst = _Instance(g, target, "best_minimum_dominating_set", budget)
-    scope = inst.mask(vertex_set(g, compare, "compare")) if compare is not None else (1 << g.n) - 1
+    scope = inst.mask(vertex_set(g, compare, "compare")) if compare is not None else (1 << len(inst.labels)) - 1
     closed = inst.closed
     discard = _dominated(closed, scope)
     allowed = [c for c in inst.cands if not discard >> c & 1]
@@ -403,6 +409,8 @@ def best_minimum_dominating_set(
         if witness[0] == c:
             witness.pop(0)
         elif rest:
+            if len(chosen) + 1 == m:
+                continue  # no room left to cover `rest`
             found = _search(inst, allowed[p + 1 :], rest, m - len(chosen) - 1)
             if found is None:
                 continue

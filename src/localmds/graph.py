@@ -7,7 +7,8 @@ derived from them) keep the labels of their host, because every tie-break
 in this package is "smallest label" and must survive taking subgraphs.
 
 All operations are pure functions over immutable graphs and are safe for
-concurrent read-only use.
+concurrent read-only use. A graph computes its ranked form on first use
+and keeps it; two threads that race on it compute the same value.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ VertexSet = frozenset[int]
 class LabeledGraph:
     """Simple undirected graph over distinct integer vertex labels."""
 
-    __slots__ = ("_adj", "_labels", "_m")
+    __slots__ = ("_adj", "_labels", "_m", "_form")
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]]):
         adj: dict[int, frozenset[int]] = {}
@@ -43,6 +44,7 @@ class LabeledGraph:
         self._adj = adj
         self._labels = tuple(sorted(adj))
         self._m = sum(len(nbrs) for nbrs in adj.values()) // 2
+        self._form = None  # ranked_form(self), built on first use
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "LabeledGraph":
@@ -130,7 +132,9 @@ class BallView:
     A rule sees only the ball. The host graph is a private field, read only
     restricted to the ball: by `subgraph`, built on first use, and by
     `ranked_form(view)`, which builds no graph, so a rule that needs only
-    the ranked form never pays for the subgraph.
+    the ranked form never pays for the subgraph. A ball that covers its
+    host is the host: its subgraph is the host itself, and its ranked form
+    the host's, computed once per host.
     """
 
     center: int
@@ -140,12 +144,16 @@ class BallView:
 
     @cached_property
     def subgraph(self) -> LabeledGraph:
-        """The subgraph of the host induced on the ball."""
-        return self._host.induced(self.dist)
+        """The subgraph of the host induced on the ball: the host itself when the ball covers it."""
+        return self._host if self.covers_host else self._host.induced(self.dist)
+
+    @property
+    def covers_host(self) -> bool:
+        return len(self.dist) == self._host.n
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.dist))
+        return self._host.labels if self.covers_host else tuple(sorted(self.dist))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BallView):
@@ -154,14 +162,15 @@ class BallView:
         return mine == theirs and self.subgraph == other.subgraph
 
 
-def vertex_set(g: LabeledGraph, s: Iterable[int], name: str) -> VertexSet:
-    """`s` as a frozenset, if every member is a vertex of g; else InputError naming `name`.
+def vertex_set(g: LabeledGraph | BallView, s: Iterable[int], name: str) -> VertexSet:
+    """`s` as a frozenset, if every member is a vertex of g (or of view g's ball); else InputError naming `name`.
 
     The one membership check for a vertex set a caller hands in.
     """
     out = frozenset(s)
-    if not g._adj.keys() >= out:
-        stray = next(v for v in out if v not in g)
+    keys = g.dist.keys() if isinstance(g, BallView) else g._adj.keys()
+    if not keys >= out:
+        stray = next(v for v in out if v not in keys)
         raise InputError(f"{name} contains {stray!r}, which is not a vertex")
     return out
 
@@ -248,9 +257,19 @@ def ranked_form(g: LabeledGraph | BallView) -> tuple[tuple[int, ...], tuple[tupl
     computation that consults labels only through their relative order
     transfer between them. A ball view's form is that of its subgraph, read
     off the host restricted to the ball without building the subgraph: the
-    one key under which every memo stores a view's result.
+    one key under which every memo stores a view's result. A graph computes
+    its form once and keeps it, and a view that covers its host returns the
+    host's form.
     """
-    host, labels = (g._host, g.vertices) if isinstance(g, BallView) else (g, g.labels)
+    if isinstance(g, BallView) and not g.covers_host:
+        return _ranked(g._host, g.vertices)
+    host = g._host if isinstance(g, BallView) else g
+    if host._form is None:
+        host._form = _ranked(host, host.labels)
+    return host._form
+
+
+def _ranked(host: LabeledGraph, labels: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     pos = {v: i for i, v in enumerate(labels)}
     edges = [(i, pos[w]) for i, v in enumerate(labels) for w in host.neighbors(v) if v < w and w in pos]
     edges.sort()

@@ -51,20 +51,22 @@ BEST_SETS: dict[tuple, tuple[int, ...]] = {}
 def best_local_set(view: BallView) -> VertexSet:
     """Best minimum dominating set of the distance-<=3 part of a radius-4 view.
 
-    Memoised in BEST_SETS under `ranked_form(view)`, read off the host;
-    only a miss builds the view's subgraph, and searches it.
+    Memoised in BEST_SETS under `ranked_form(view)` and the target's ranks,
+    both read off the host; only a miss searches, on the view itself, and
+    no view's subgraph is ever built.
     """
     if view.radius != VIEW_RADIUS:
         raise InputError(f"nomination rule needs radius-{VIEW_RADIUS} views, got {view.radius}")
-    near = frozenset(v for v, d in view.dist.items() if d <= TARGET_RADIUS)
     labels, edges = ranked_form(view)
-    pos = {v: i for i, v in enumerate(labels)}
+    dist = view.dist
+    targets = tuple(i for i, v in enumerate(labels) if dist[v] <= TARGET_RADIUS)
 
     def search() -> tuple[int, ...]:
-        return tuple(sorted(pos[v] for v in best_minimum_dominating_set(view.subgraph, near, compare=near)))
+        near = frozenset(labels[i] for i in targets)
+        pos = {v: i for i, v in enumerate(labels)}
+        return tuple(sorted(pos[v] for v in best_minimum_dominating_set(view, near, compare=near)))
 
-    key = (len(labels), edges, tuple(sorted(pos[v] for v in near)))
-    return frozenset(labels[i] for i in memoised(BEST_SETS, key, search))
+    return frozenset(labels[i] for i in memoised(BEST_SETS, (len(labels), edges, targets), search))
 
 
 def nomination_rule(view: BallView) -> NominationDecision:

@@ -25,6 +25,7 @@ from .errors import LocalMdsError, RuleError, require_int
 from .graph import BallView, LabeledGraph, ball
 
 MEMO_SIZE = 65536  # keys each `memoised` memo keeps, dropping the oldest first
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,14 @@ class RoundLedger:
 
 
 def memoised(memo: dict, key: Hashable, compute: Callable[[], Any]) -> Any:
-    """`memo[key]`, filled with `compute()` on a miss; a `compute` that raises stores nothing."""
-    if key not in memo:
+    """`memo[key]`, filled with `compute()` on a miss; a hit hashes `key` once, a raising `compute` stores nothing."""
+    value = memo.get(key, _MISS)
+    if value is _MISS:
         value = compute()
         while len(memo) >= MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = value
-    return memo[key]
+    return value
 
 
 def rule_error(center: int, exc: Exception) -> RuleError:

@@ -18,7 +18,7 @@ SCRIPT = """
 import json, sys
 sys.path.insert(0, "bench")
 import spans
-from localmds import GeneratorSpec, generate, harness
+from localmds import GeneratorSpec, generate, harness, nomination
 
 B_LAYER = ("graph.weak_diameter", "composition.repair_step", "composition.error_set", "graph.components")
 tracer = spans.Tracer()
@@ -27,11 +27,13 @@ cells = [
     (GeneratorSpec("gadgetGraft", {"n": 60, "gadgets": 1, "spacing": 10}, 1), "B"),
     (GeneratorSpec("grid", {"rows": 4, "cols": 4}), "A"),
 ]
-statuses = []
+statuses, best_sets_added = [], []
 for i, (spec, alg) in enumerate(cells):
     g = generate(spec)
     tracer.cell = i
+    before = len(nomination.BEST_SETS)
     statuses.append(harness.run_cell(g, {}, {"alg": alg}).status)
+    best_sets_added.append(len(nomination.BEST_SETS) - before)
 tracer.cell = None
 summary = spans.summarize(tracer.spans)
 b_cell = [span[0] for span in tracer.spans if span[4] == 0]
@@ -43,6 +45,8 @@ print(json.dumps({
     "sub_runs": summary.get("composition.sub_run", {}).get("calls", 0),
     "b_cell_spans": {name: b_cell.count(name) for name in B_LAYER},
     "a_cell_ranked_forms": a_cell.count("graph.ranked_form"),
+    "a_cell_best_sets": a_cell.count("domination.best_set"),
+    "a_cell_best_sets_added": best_sets_added[1],
 }))
 """
 
@@ -68,3 +72,5 @@ def test_traced_cells_run_through_every_hook():
     assert b_cell["graph.components"] == 2
     # A keys each of the 4x4 grid's 16 views through a name the hooks rebind
     assert result["a_cell_ranked_forms"] == 16
+    # and searches once per memo miss, through the name the hooks rebind
+    assert result["a_cell_best_sets"] == result["a_cell_best_sets_added"] > 0

@@ -288,6 +288,36 @@ class TestBestMinimumDominatingSet:
             assert best_minimum_dominating_set(view.subgraph, near, compare=near) == expected
 
 
+class TestBestSetOfAView:
+    """A view's best set is read off its host restricted to the ball, with no
+    subgraph built; it must equal the best set of a freshly induced subgraph."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("randomPlanarTriangulation", {"n": 60}, seed=1),
+            GeneratorSpec("randomPlanarTriangulation", {"n": 60}, seed=2),
+            GeneratorSpec("randomPlanarTriangulation", {"n": 60}, seed=3),
+            GeneratorSpec("depth2Tree", {"alpha": 3}),
+            GeneratorSpec("grid", {"rows": 6, "cols": 8}),
+        ],
+        ids=lambda spec: f"{spec.family}-{spec.seed}",
+    )
+    def test_equals_best_set_of_induced_subgraph(self, spec):
+        g = generate(spec)
+        for radius in (2, 3, 4):
+            for u in g.labels:
+                view = ball(g, u, radius)
+                near = frozenset(v for v, d in view.dist.items() if d < radius)
+                fresh = g.induced(view.dist)
+                got = best_minimum_dominating_set(view, near, compare=near)
+                assert got == best_minimum_dominating_set(fresh, near, compare=near)
+
+    def test_target_outside_the_ball(self):
+        with pytest.raises(InputError, match="^target contains 0"):
+            best_minimum_dominating_set(ball(path(5), 2, 1), {0, 2})
+
+
 class TestGreedy:
     def test_candidates_missing_a_target_vertex(self):
         # position 0 of P3 covers 0 and 1 only; without a check the loop would never end
@@ -362,7 +392,7 @@ class TestPinnedNodeCounts:
         view = ball(g, 0, 4)
         near = frozenset(v for v, d in view.dist.items() if d <= 3)
         _needs_exactly(
-            39,
+            37,
             lambda budget: best_minimum_dominating_set(view.subgraph, near, compare=near, budget=budget),
         )
 

@@ -154,6 +154,13 @@ class TestBall:
                 reach = set(neighborhood(g, reach, 1))
             assert set(ball(g, u, r).vertices) == reach
 
+    def test_covering_view_is_the_host(self):
+        # a ball that reaches every vertex is the host, not a copy of it
+        g = grid(3, 4)
+        assert ball(g, 0, 5).subgraph is g
+        view = ball(g, 0, 4)
+        assert view.subgraph is not g and view.subgraph == g.induced(view.dist)
+
     def test_ball_is_induced(self, rng):
         g = random_graph(25, 0.15, rng)
         view = ball(g, 3, 2)
@@ -210,7 +217,7 @@ class TestWeakDiameter:
 
         g = CountingGraph.from_edges(10000, path(10000).edges())
         assert weak_diameter(g, {5000, 5001, 5003}) == 3
-        assert g.lookups <= 20
+        assert 0 < g.lookups <= 20
 
     def test_at_most_diameter(self, rng):
         for _ in range(6):
@@ -273,6 +280,16 @@ class TestRankedForm:
         labels, edges = ranked_form(g)
         assert labels == (2, 3, 4)
         assert edges == ((0, 1), (1, 2))
+
+    def test_covering_view_shares_the_hosts_form(self):
+        # the host computes its form once; a view covering it returns that
+        # same form, equal to one computed afresh on an uncached copy
+        g = grid(3, 4)
+        view = ball(g, 5, 5)
+        assert ranked_form(view) is ranked_form(g)
+        assert ranked_form(view) == ranked_form(LabeledGraph({v: g.neighbors(v) for v in g.labels}))
+        part = ball(g, 5, 1)
+        assert ranked_form(part) == ranked_form(g.induced(part.dist))
 
     def test_independent_of_edge_order(self):
         # 1 and 9 share a hash slot in a small set, so edges() follows the
