@@ -1,9 +1,20 @@
 """Planarity decision and pluggable graph-class predicates.
 
-The tester is networkx's left-right planarity test over a DFS
-orientation. `check_planarity` builds a combinatorial embedding on every
-call, even though only the boolean verdict is used here. The test suite
-validates the tester against an independent slow search for complete and
+`is_planar` is the left-right (LR) planarity test of de Fraysseix,
+Ossona de Mendez & Rosenstiehl (*Trémaux trees and planarity*, 2006), in
+the formulation of Brandes (*The Left-Right Planarity Test*, 2009). It
+returns the verdict only, which is all algorithm B needs ("no preliminary
+embedding of the graph"): it builds no embedding and keeps none of the
+edge sides, signs or alignments that one would need. Two depth-first
+searches, both iterative so that long paths cost no recursion depth, read
+the graph's own adjacency: the first orients the edges and computes
+lowpoints, the second tests the left-right constraints. A vertex is its
+rank among the labels and each oriented edge an integer id into flat
+lists, so a run allocates no per-edge objects.
+
+The test suite checks the verdict against networkx's `check_planarity`
+(an independent implementation, used only by the tests) on random, corpus
+and large graphs, and against a slow search for complete and
 complete-bipartite subdivisions on small graphs.
 
 Class predicates are assumed to describe isomorphism-closed, hereditary
@@ -14,20 +25,207 @@ single vertices' views only inside components that fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
-
-import networkx as nx
 
 from .graph import LabeledGraph
 
 
 def is_planar(g: LabeledGraph) -> bool:
     """True iff g embeds in the plane (each component embedded independently)."""
-    h = nx.Graph()
-    h.add_nodes_from(g.labels)
-    h.add_edges_from(g.edges())
-    ok, _ = nx.check_planarity(h, counterexample=False)
-    return ok
+    n, m = g.n, g.m
+    if n > 2 and m > 3 * n - 6:
+        return False
+    if n <= 4 or m <= 8:  # K3,3 has 9 edges and K5 has 10
+        return True
+    return _lr_test(g)
+
+
+def _lr_test(g: LabeledGraph) -> bool:
+    # Orientation: a DFS orients each edge away from the root (tree edges)
+    # or towards it (back edges) and computes the lowpoints. Vertices are
+    # their ranks in g.labels; edge id 0 is the "no edge" sentinel of every
+    # per-edge list.
+    labels, n = g.labels, g.n
+    rank = range(n) if g.is_canonical() else {v: i for i, v in enumerate(labels)}
+    width = 2 * n  # nesting depth < width, so src * width + depth sorts by (src, depth)
+    height, parent_edge, out_degree = [-1] * n, [0] * n, [0] * n
+    src, tgt, lowpt, lowpt2, nesting = [-1], [-1], [0], [0], [0]
+    roots: list[int] = []
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        vertices, scans = [root], [iter(g.neighbors(labels[root]))]
+        while vertices:
+            v = vertices[-1]
+            hv, e = height[v], parent_edge[v]
+            parent = src[e]
+            for x in scans[-1]:
+                w = rank[x]
+                hw = height[w]
+                if hw < 0:  # tree edge v -> w: descend
+                    parent_edge[w] = len(src)
+                    height[w] = hv + 1
+                    src.append(v)
+                    tgt.append(w)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    out_degree[v] += 1
+                    vertices.append(w)
+                    scans.append(iter(g.neighbors(x)))
+                    break
+                if hw < hv and w != parent:  # back edge v -> ancestor w
+                    src.append(v)
+                    tgt.append(w)
+                    lowpt.append(hw)
+                    lowpt2.append(hv)
+                    nesting.append(v * width + 2 * hw)
+                    out_degree[v] += 1
+                    if hw < lowpt[e]:
+                        lowpt2[e] = lowpt[e]
+                        lowpt[e] = hw
+                    elif lowpt[e] < hw < lowpt2[e]:
+                        lowpt2[e] = hw
+            else:  # v is finished: fold its parent edge e into the grandparent edge
+                vertices.pop()
+                scans.pop()
+                if e:
+                    lp, lp2 = lowpt[e], lowpt2[e]
+                    nesting[e] = parent * width + 2 * lp + (lp2 < hv - 1)
+                    f = parent_edge[parent]
+                    if f:
+                        if lp < lowpt[f]:
+                            lowpt2[f] = min(lowpt[f], lp2)
+                            lowpt[f] = lp
+                        elif lp > lowpt[f]:
+                            lowpt2[f] = min(lowpt2[f], lp)
+                        else:
+                            lowpt2[f] = min(lowpt2[f], lp2)
+
+    # Each vertex's outgoing edges, ordered by nesting depth, as one list:
+    # vertex v's run is order[first[v]:first[v + 1]].
+    order = sorted(range(1, len(src)), key=nesting.__getitem__)
+    first = [0, *accumulate(out_degree)]
+    return _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt)
+
+
+def _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt) -> bool:
+    # Testing: a second DFS in nesting order keeps a stack of conflict pairs,
+    # each a left and a right interval of return edges given by its (low,
+    # high) edge ids, 0 when empty. The four lists are that stack's columns.
+    # ref links each interval's edges from high to low across merges; the
+    # references that only fix sides for an embedding are not kept.
+    edges = len(src)
+    ref, stack_bottom = [0] * edges, [0] * edges
+    left_low: list[int] = []
+    left_high: list[int] = []
+    right_low: list[int] = []
+    right_high: list[int] = []
+
+    def add_constraints(ei: int, e: int) -> bool:
+        # merge the return edges of ei into the right interval of a new pair
+        pll = plh = prl = prh = 0
+        bottom, lp_e = stack_bottom[ei], lowpt[e]
+        while True:
+            qll, qlh, qrl, qrh = left_low.pop(), left_high.pop(), right_low.pop(), right_high.pop()
+            if qll or qlh:
+                qll, qlh, qrl, qrh = qrl, qrh, qll, qlh
+            if qll or qlh:
+                return False
+            if lowpt[qrl] > lp_e:
+                if prl or prh:
+                    ref[prl] = qrh
+                else:
+                    prh = qrh
+                prl = qrl
+            if len(left_low) == bottom:
+                break
+        # merge the conflicting return edges of ei's earlier siblings into the left interval
+        lp_i = lowpt[ei]
+        while ((left_low[-1] or left_high[-1]) and lowpt[left_high[-1]] > lp_i) or (
+            (right_low[-1] or right_high[-1]) and lowpt[right_high[-1]] > lp_i
+        ):
+            qll, qlh, qrl, qrh = left_low.pop(), left_high.pop(), right_low.pop(), right_high.pop()
+            if (qrl or qrh) and lowpt[qrh] > lp_i:
+                qll, qlh, qrl, qrh = qrl, qrh, qll, qlh
+            if (qrl or qrh) and lowpt[qrh] > lp_i:
+                return False
+            ref[prl] = qrh
+            if qrl:
+                prl = qrl
+            if pll or plh:
+                ref[pll] = qlh
+            else:
+                plh = qlh
+            pll = qll
+        if pll or plh or prl or prh:
+            left_low.append(pll)
+            left_high.append(plh)
+            right_low.append(prl)
+            right_high.append(prh)
+        return True
+
+    def remove_back_edges(u: int) -> None:
+        # drop the return edges that end at u, whole pairs first
+        hu = height[u]
+        while left_low:
+            ll, rl = left_low[-1], right_low[-1]
+            if not (ll or left_high[-1]):
+                lowest = lowpt[rl]
+            elif not (rl or right_high[-1]):
+                lowest = lowpt[ll]
+            else:
+                lowest = min(lowpt[ll], lowpt[rl])
+            if lowest != hu:
+                break
+            del left_low[-1], left_high[-1], right_low[-1], right_high[-1]
+        if left_low:
+            pll, plh, prl, prh = left_low[-1], left_high[-1], right_low[-1], right_high[-1]
+            while plh and tgt[plh] == u:
+                plh = ref[plh]
+            if not plh:  # trimmed empty
+                pll = 0
+            while prh and tgt[prh] == u:
+                prh = ref[prh]
+            if not prh:  # trimmed empty
+                prl = 0
+            left_low[-1], left_high[-1], right_low[-1], right_high[-1] = pll, plh, prl, prh
+
+    pos = first[:]
+    for root in roots:
+        vertices = [root]
+        while vertices:
+            v = vertices[-1]
+            e, i, end = parent_edge[v], pos[v], first[v + 1]
+            while i < end:
+                ei = order[i]
+                stack_bottom[ei] = len(left_low)
+                w = tgt[ei]
+                if parent_edge[w] == ei:  # tree edge: descend, integrate ei when w is done
+                    pos[v] = i
+                    vertices.append(w)
+                    break
+                # back edge: it returns below v; like any edge of v but the
+                # first in nesting order, its return edges add constraints
+                left_low.append(0)
+                left_high.append(0)
+                right_low.append(ei)
+                right_high.append(ei)
+                if i != first[v] and not add_constraints(ei, e):
+                    return False
+                i += 1
+            else:
+                vertices.pop()
+                if e:
+                    u = src[e]
+                    remove_back_edges(u)
+                    if lowpt[e] < height[u] and pos[u] != first[u] and not add_constraints(e, parent_edge[u]):
+                        return False
+                    pos[u] += 1
+    return True
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ exhaustion for domination, pairwise comparison for strict neighborhood
 containment, simple-path enumeration for distances, and a
 subdivision search (complete graph on five vertices, or complete bipartite
 3x3) for planarity. Keep instances small; everything here is exponential.
-The one exception is the domination size from an integer program, solved
-by HiGHS through scipy, for instances past the reach of exhaustion.
+The exceptions reach past exhaustion through independent libraries: the
+domination size from an integer program, solved by HiGHS through scipy,
+and the planarity verdict of networkx's `check_planarity`, which builds an
+embedding along the way.
 """
 from __future__ import annotations
 
@@ -77,6 +79,16 @@ def milp_mds_size(g: LabeledGraph, target, time_limit: float) -> int:
     if result.status != 0:
         pytest.fail(f"no proven optimum: {result.message}")
     return round(result.fun)
+
+
+def networkx_is_planar(g: LabeledGraph) -> bool:
+    """Planarity by networkx's left-right test, a separate implementation of
+    the package's tester. Skips the calling test when networkx is missing."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.labels)
+    h.add_edges_from(g.edges())
+    return nx.check_planarity(h)[0]
 
 
 def strictly_dominated_by_pairs(g: LabeledGraph, within=None) -> frozenset[int]:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import complete_bipartite, complete_graph, random_graph
+from conftest import complete_bipartite, complete_graph, corpus_specs, random_graph
 from localmds import (
     BConfig,
     GeneratorSpec,
@@ -46,50 +46,9 @@ def _report(num: int, ok: bool, description: str, detail: str = "") -> None:
     sys.stdout.flush()
 
 
-def _corpus_specs() -> list[GeneratorSpec]:
-    specs: list[GeneratorSpec] = []
-    for n in (1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 20, 30, 40, 60, 80, 120, 160, 240, 320, 400):
-        specs.append(GeneratorSpec("path", {"n": n}))
-    for n in (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18, 22, 25, 30, 40, 60, 80, 120, 180, 400):
-        specs.append(GeneratorSpec("cycle", {"n": n}))
-    for rows, cols in (
-        (1, 1), (1, 7), (2, 2), (2, 3), (2, 5), (2, 8), (3, 3), (3, 4), (3, 5),
-        (4, 4), (4, 6), (4, 9), (5, 5), (5, 8), (6, 6), (7, 9), (8, 12), (10, 10),
-        (13, 13), (20, 20),
-    ):
-        specs.append(GeneratorSpec("grid", {"rows": rows, "cols": cols}))
-    for rows, cols in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6)):
-        specs.append(GeneratorSpec("toroidalGrid", {"rows": rows, "cols": cols}))
-    for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16, 18, 20, 22, 25, 28, 32, 36, 40, 45, 50, 60, 70, 80):
-        for seed in (1, 2, 3, 4):
-            specs.append(GeneratorSpec("randomPlanarTriangulation", {"n": n}, seed=seed))
-    for n, deletions in ((10, 5), (15, 8), (20, 12), (25, 15), (30, 20), (40, 28), (50, 35), (60, 45)):
-        for seed in (1, 2):
-            specs.append(GeneratorSpec("randomPlanarTriangulation", {"n": n, "deletions": deletions}, seed=seed))
-    for g in (1, 2, 3, 4, 5, 6, 8, 10):
-        specs.append(GeneratorSpec("projectiveCirculant", {"g": g}))
-    for alpha in (2, 3):
-        specs.append(GeneratorSpec("depth2Tree", {"alpha": alpha}))
-    graft_configs = [
-        ({"n": 60, "gadgets": 1, "spacing": 10}, 1),
-        ({"n": 60, "gadgets": 1, "gadget": "projectiveCirculant", "spacing": 10}, 2),
-        ({"n": 80, "gadgets": 2, "spacing": 40}, 3),
-        ({"n": 90, "gadgets": 2, "gadget": "projectiveCirculant", "spacing": 30}, 4),
-        ({"n": 100, "gadgets": 3, "spacing": 35}, 5),
-        ({"n": 120, "gadgets": 2, "spacing": 50}, 6),
-        ({"n": 150, "gadgets": 2, "spacing": 70}, 7),
-        ({"n": 200, "gadgets": 3, "spacing": 60}, 8),
-        ({"n": 70, "gadgets": 2, "spacing": 20}, 9),
-        ({"host": "grid", "rows": 3, "cols": 40, "gadgets": 1, "spacing": 1}, 10),
-    ]
-    for params, seed in graft_configs:
-        specs.append(GeneratorSpec("gadgetGraft", params, seed=seed))
-    return specs
-
-
 @pytest.fixture(scope="module")
 def corpus():
-    return [(spec, generate(spec)) for spec in _corpus_specs()]
+    return [(spec, generate(spec)) for spec in corpus_specs()]
 
 
 @pytest.fixture(scope="module")

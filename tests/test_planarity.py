@@ -1,4 +1,11 @@
-from conftest import complete_bipartite, complete_graph, grid, path, random_graph
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import complete_bipartite, complete_graph, corpus_specs, grid, path, random_graph
 from localmds import (
     GeneratorSpec,
     LabeledGraph,
@@ -6,7 +13,44 @@ from localmds import (
     generate,
     is_planar,
 )
-from reference import planar_by_subdivisions
+from reference import networkx_is_planar, planar_by_subdivisions
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Past the acceptance corpus: larger members of every family, triangulations
+# with and without deletions, and both gadget kinds on both hosts.
+LARGER_SPECS = [
+    GeneratorSpec("grid", {"rows": 30, "cols": 30}),
+    GeneratorSpec("grid", {"rows": 2, "cols": 300}),
+    GeneratorSpec("randomPlanarTriangulation", {"n": 300}, seed=5),
+    GeneratorSpec("randomPlanarTriangulation", {"n": 300, "deletions": 250}, seed=5),
+    GeneratorSpec("randomPlanarTriangulation", {"n": 300, "deletions": 600}, seed=6),
+    GeneratorSpec("toroidalGrid", {"rows": 3, "cols": 40}),
+    GeneratorSpec("toroidalGrid", {"rows": 12, "cols": 15}),
+    GeneratorSpec("projectiveCirculant", {"g": 30}),
+    GeneratorSpec("projectiveCirculant", {"g": 200}),
+    GeneratorSpec("gadgetGraft", {"n": 400, "gadgets": 4, "spacing": 90}, seed=2),
+    GeneratorSpec("gadgetGraft", {"n": 400, "gadgets": 4, "spacing": 90, "gadget": "projectiveCirculant"}, seed=2),
+    GeneratorSpec(
+        "gadgetGraft",
+        {"host": "grid", "rows": 6, "cols": 30, "gadgets": 2, "spacing": 12, "gadget": "projectiveCirculant"},
+        seed=3,
+    ),
+]
+
+
+def _spec_id(spec: GeneratorSpec) -> str:
+    return "-".join([spec.family, *(f"{k}{v}" for k, v in spec.params.items()), f"seed{spec.seed}"])
+
+
+def _subdivided(g: LabeledGraph, k: int) -> LabeledGraph:
+    """g with every edge replaced by a path through k new vertices."""
+    n, edges = g.n, []
+    for u, v in g.edges():
+        chain = [u, *range(n, n + k), v]
+        n += k
+        edges.extend(zip(chain, chain[1:]))
+    return LabeledGraph.from_edges(n, edges)
 
 
 class TestTextbookCases:
@@ -50,6 +94,34 @@ class TestAgainstSubdivisionReference:
         for _ in range(20):
             g = random_graph(rng.randrange(5, 9), 0.85, rng)
             assert is_planar(g) == planar_by_subdivisions(g)
+
+
+@pytest.mark.parametrize("spec", corpus_specs() + LARGER_SPECS, ids=_spec_id)
+def test_verdict_equals_networkx_on_generated_graphs(spec):
+    g = generate(spec)
+    assert is_planar(g) == networkx_is_planar(g)
+
+
+class TestScale:
+    # both searches are iterative: a DFS as deep as the graph is long must
+    # give a verdict, not a RecursionError
+    def test_long_path_is_planar(self):
+        assert is_planar(path(200_000))
+
+    def test_long_subdivided_k33_is_not_planar(self):
+        g = _subdivided(complete_bipartite(3, 3), 10_000)
+        assert (g.n, g.m) == (90_006, 90_009)
+        assert not is_planar(g)
+
+
+def test_importing_the_package_does_not_load_networkx():
+    # networkx is only the tests' reference tester
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import localmds, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestProperties:

@@ -1,11 +1,11 @@
 """Differential property tests: the fast paths against the slow references
-in `reference.py`, the search's packing bound against exhaustion, the view
-executor against the flooding executor, and B's component-first error set
-against the per-vertex one, on small graphs drawn by hypothesis (see the
-settings profile in conftest.py)."""
+in `reference.py`, the planarity tester against networkx's, the search's
+packing bound against exhaustion, the view executor against the flooding
+executor, and B's component-first error set against the per-vertex one, on
+small graphs drawn by hypothesis (see the settings profile in conftest.py)."""
 import itertools
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from localmds import (
@@ -16,6 +16,7 @@ from localmds import (
     all_minimum_dominating_sets,
     ball,
     best_minimum_dominating_set,
+    is_planar,
     mds_size,
     minimum_dominating_set,
     ranked_form,
@@ -25,8 +26,14 @@ from localmds import (
 )
 from localmds.composition import component_error_set
 from localmds.domination import _closed_masks, _packing, _union
+from localmds.planarity import _lr_test
 from conftest import disjoint_union
-from reference import exhaustive_all_mds, exhaustive_mds_size, strictly_dominated_by_pairs
+from reference import (
+    exhaustive_all_mds,
+    exhaustive_mds_size,
+    networkx_is_planar,
+    strictly_dominated_by_pairs,
+)
 
 
 @st.composite
@@ -45,6 +52,23 @@ def unions(draw):
     if not draw(st.booleans()):
         return g
     return disjoint_union(g, draw(graphs()))
+
+
+@st.composite
+def sparse_labeled_graphs(draw):
+    """Up to 12 vertices with distinct labels from 0..99 and at most 3n edges,
+    all inside one of up to three blocks: isolated vertices and several
+    components are common."""
+    labels = draw(st.lists(st.integers(0, 99), max_size=12, unique=True))
+    blocks = draw(st.integers(1, 3))
+    block = {v: draw(st.integers(0, blocks - 1)) for v in labels}
+    pairs = [(u, v) for u, v in itertools.combinations(labels, 2) if block[u] == block[v]]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * len(labels))) if pairs else set()
+    adj: dict[int, set[int]] = {v: set() for v in labels}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return LabeledGraph(adj)
 
 
 @st.composite
@@ -67,6 +91,17 @@ def test_domination_oracles_agree_with_exhaustion(instance):
     discard = strictly_dominated_by_pairs(g, compare)
     survivors = [s for s in optima if not s & discard]
     assert best_minimum_dominating_set(g, target, compare=compare) == min(survivors, key=sorted)
+
+
+# two graphs on 7 vertices whose searches reach the tester's rarer branches:
+# the first fails when a back edge conflicts with both sides, the second
+# empties a right interval while trimming
+@example(LabeledGraph.from_edges(7, [(0, 2), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (3, 6), (4, 5), (5, 6)]))
+@example(LabeledGraph.from_edges(7, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 6), (3, 4), (3, 6), (5, 6)]))
+@given(sparse_labeled_graphs())
+def test_planarity_verdict_equals_networkx(g):
+    # the left-right test itself too, past the early exits on edge counts
+    assert is_planar(g) == _lr_test(g) == networkx_is_planar(g)
 
 
 @given(graphs(), st.data())

@@ -11,12 +11,13 @@ from localmds import (
     EnumerationBudgetError,
     GeneratorSpec,
     generate,
+    is_planar,
     mds_size,
     minimum_dominating_set,
     run_cell,
     verify_domination,
 )
-from reference import milp_mds_size
+from reference import milp_mds_size, networkx_is_planar
 
 pytestmark = pytest.mark.stress
 
@@ -74,3 +75,17 @@ def test_algorithm_a_on_triangulation_800_exceeds_default_budget():
     report = run_cell(g, {}, {"alg": "A"})
     assert report.status == "resource"
     assert "best_minimum_dominating_set: exact search exceeded" in report.message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("grid", {"rows": 160, "cols": 160}),
+        GeneratorSpec("gadgetGraft", {"n": 40000, "gadgets": 80, "spacing": 150, "gadget": "K5"}, seed=1),
+        GeneratorSpec("randomPlanarTriangulation", {"n": 5000}, seed=1),
+    ],
+    ids=["grid-160x160", "k5-graft-n40400", "triangulation-n5000"],
+)
+def test_planarity_verdict_equals_networkx_at_scale(spec):
+    g = generate(spec)
+    assert is_planar(g) == networkx_is_planar(g)
