@@ -170,13 +170,11 @@ def _gen_gadget_graft(params, rng) -> LabeledGraph:
     if host == "path":
         host_n = line = _int_param(params, "n", 1)
         host_edges = _path_edges(host_n)
-    elif host == "grid":
+    else:  # grid, the only other host in _GRAFT_HOSTS
         rows = _int_param(params, "rows", 1)
         line = _int_param(params, "cols", 1)  # gadgets hang off row 0, whose labels are its columns
         host_n = rows * line
         host_edges = _grid_edges(rows, line, wrap=False)
-    else:
-        raise InputError(f"unknown gadget host {host!r}")
     span = (gadgets - 1) * spacing
     if span >= line:
         raise InputError(
@@ -194,25 +192,36 @@ def _gen_gadget_graft(params, rng) -> LabeledGraph:
     return LabeledGraph.from_edges(base, edges)
 
 
+# each family's generator and the parameters it reads; a gadgetGraft also reads its host's sizes
 _GENERATORS = {
-    "path": _gen_path,
-    "cycle": _gen_cycle,
-    "grid": _gen_grid,
-    "toroidalGrid": _gen_toroidal,
-    "randomPlanarTriangulation": _gen_triangulation,
-    "projectiveCirculant": _gen_projective_circulant,
-    "depth2Tree": _gen_depth2_tree,
-    "gadgetGraft": _gen_gadget_graft,
+    "path": (_gen_path, ("n",)),
+    "cycle": (_gen_cycle, ("n",)),
+    "grid": (_gen_grid, ("rows", "cols")),
+    "toroidalGrid": (_gen_toroidal, ("rows", "cols")),
+    "randomPlanarTriangulation": (_gen_triangulation, ("n", "deletions")),
+    "projectiveCirculant": (_gen_projective_circulant, ("g",)),
+    "depth2Tree": (_gen_depth2_tree, ("alpha",)),
+    "gadgetGraft": (_gen_gadget_graft, ("host", "gadgets", "spacing", "gadget")),
 }
+_GRAFT_HOSTS = {"path": ("n",), "grid": ("rows", "cols")}
 FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: GeneratorSpec) -> LabeledGraph:
-    """Generate the graph a spec describes; deterministic given the seed."""
+    """Generate the graph a spec describes, deterministic given the seed; unread parameters are InputErrors."""
     if spec.family not in _GENERATORS:
         raise InputError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
+    make, keys = _GENERATORS[spec.family]
+    if spec.family == "gadgetGraft":
+        host = str(spec.params.get("host", "path"))
+        if host not in _GRAFT_HOSTS:
+            raise InputError(f"unknown gadget host {host!r}")
+        keys += _GRAFT_HOSTS[host]
+    for key in spec.params:
+        if key not in keys:
+            raise InputError(f"{spec.family} takes no parameter {key!r} (it takes: {list(keys)})")
     rng = random.Random(require_int(spec.seed, "seed"))
-    g = _GENERATORS[spec.family](spec.params, rng)
+    g = make(spec.params, rng)
     if spec.family in _PLANAR_FAMILIES and not is_planar(g):
         raise InvariantError(f"{spec.family} generator produced a non-planar graph")
     return g

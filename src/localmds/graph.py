@@ -51,7 +51,6 @@ class LabeledGraph:
         """Build a canonical host graph on labels 0..n-1 from an edge list."""
         require_int(n, "vertex count", 0)
         adj: dict[int, set[int]] = {v: set() for v in range(n)}
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise InputError(f"edge endpoints must be ints, got {(u, v)!r}")
@@ -59,10 +58,8 @@ class LabeledGraph:
                 raise InputError(f"edge {u}-{v} out of range for n={n}")
             if u == v:
                 raise InputError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge {key[0]}-{key[1]}")
-            seen.add(key)
+            if v in adj[u]:
+                raise InputError(f"duplicate edge {min(u, v)}-{max(u, v)}")
             adj[u].add(v)
             adj[v].add(u)
         return cls(adj)
@@ -165,12 +162,16 @@ class BallView:
 def vertex_set(g: LabeledGraph | BallView, s: Iterable[int], name: str) -> VertexSet:
     """`s` as a frozenset, if every member is a vertex of g (or of view g's ball); else InputError naming `name`.
 
-    The one membership check for a vertex set a caller hands in.
+    The one membership check for a vertex set a caller hands in. A member
+    must be an int: True equals the label 1 but is not a vertex.
     """
-    out = frozenset(s)
+    try:
+        out = frozenset(s)
+    except TypeError:
+        raise InputError(f"{name} must be a collection of vertices, got {s!r}") from None
     keys = g.dist.keys() if isinstance(g, BallView) else g._adj.keys()
-    if not keys >= out:
-        stray = next(v for v in out if v not in keys)
+    if not (keys >= out and {int}.issuperset(map(type, out))):
+        stray = next(v for v in out if type(v) is not int or v not in keys)
         raise InputError(f"{name} contains {stray!r}, which is not a vertex")
     return out
 

@@ -8,9 +8,9 @@ embedding of the graph"): it builds no embedding and keeps none of the
 edge sides, signs or alignments that one would need. Two depth-first
 searches, both iterative so that long paths cost no recursion depth, read
 the graph's own adjacency: the first orients the edges and computes
-lowpoints, the second tests the left-right constraints. A vertex is its
-rank among the labels and each oriented edge an integer id into flat
-lists, so a run allocates no per-edge objects.
+lowpoints, the second tests the left-right constraints over one stack of
+conflict pairs. A vertex is its rank among the labels and each oriented
+edge an integer id into flat lists, so a run allocates no per-edge objects.
 
 The test suite checks the verdict against networkx's `check_planarity`
 (an independent implementation, used only by the tests) on random, corpus
@@ -113,24 +113,25 @@ def _lr_test(g: LabeledGraph) -> bool:
 
 
 def _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt) -> bool:
-    # Testing: a second DFS in nesting order keeps a stack of conflict pairs,
-    # each a left and a right interval of return edges given by its (low,
-    # high) edge ids, 0 when empty. The four lists are that stack's columns.
+    # Testing: a second DFS in nesting order keeps one stack of conflict
+    # pairs, as in Brandes. A pair is a left and a right interval of return
+    # edges, each given by its (low, high) edge ids, 0 when empty, and is
+    # stored whole as the tuple (left low, left high, right low, right high).
     # ref links each interval's edges from high to low across merges; the
     # references that only fix sides for an embedding are not kept.
-    edges = len(src)
-    ref, stack_bottom = [0] * edges, [0] * edges
-    left_low: list[int] = []
-    left_high: list[int] = []
-    right_low: list[int] = []
-    right_high: list[int] = []
+    ref, stack_bottom = [0] * len(src), [0] * len(src)
+    stack: list[tuple[int, int, int, int]] = []
+
+    def conflicting(low: int, high: int, b: int) -> bool:
+        # the interval (low, high) holds a return edge above edge b's lowpoint
+        return (low or high) and lowpt[high] > lowpt[b]
 
     def add_constraints(ei: int, e: int) -> bool:
         # merge the return edges of ei into the right interval of a new pair
         pll = plh = prl = prh = 0
         bottom, lp_e = stack_bottom[ei], lowpt[e]
         while True:
-            qll, qlh, qrl, qrh = left_low.pop(), left_high.pop(), right_low.pop(), right_high.pop()
+            qll, qlh, qrl, qrh = stack.pop()
             if qll or qlh:
                 qll, qlh, qrl, qrh = qrl, qrh, qll, qlh
             if qll or qlh:
@@ -141,17 +142,14 @@ def _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt)
                 else:
                     prh = qrh
                 prl = qrl
-            if len(left_low) == bottom:
+            if len(stack) == bottom:
                 break
         # merge the conflicting return edges of ei's earlier siblings into the left interval
-        lp_i = lowpt[ei]
-        while ((left_low[-1] or left_high[-1]) and lowpt[left_high[-1]] > lp_i) or (
-            (right_low[-1] or right_high[-1]) and lowpt[right_high[-1]] > lp_i
-        ):
-            qll, qlh, qrl, qrh = left_low.pop(), left_high.pop(), right_low.pop(), right_high.pop()
-            if (qrl or qrh) and lowpt[qrh] > lp_i:
+        while conflicting(stack[-1][0], stack[-1][1], ei) or conflicting(stack[-1][2], stack[-1][3], ei):
+            qll, qlh, qrl, qrh = stack.pop()
+            if conflicting(qrl, qrh, ei):
                 qll, qlh, qrl, qrh = qrl, qrh, qll, qlh
-            if (qrl or qrh) and lowpt[qrh] > lp_i:
+            if conflicting(qrl, qrh, ei):
                 return False
             ref[prl] = qrh
             if qrl:
@@ -162,37 +160,30 @@ def _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt)
                 plh = qlh
             pll = qll
         if pll or plh or prl or prh:
-            left_low.append(pll)
-            left_high.append(plh)
-            right_low.append(prl)
-            right_high.append(prh)
+            stack.append((pll, plh, prl, prh))
         return True
 
     def remove_back_edges(u: int) -> None:
         # drop the return edges that end at u, whole pairs first
         hu = height[u]
-        while left_low:
-            ll, rl = left_low[-1], right_low[-1]
-            if not (ll or left_high[-1]):
+        while stack:
+            ll, lh, rl, rh = stack[-1]
+            if not (ll or lh):
                 lowest = lowpt[rl]
-            elif not (rl or right_high[-1]):
+            elif not (rl or rh):
                 lowest = lowpt[ll]
             else:
                 lowest = min(lowpt[ll], lowpt[rl])
             if lowest != hu:
                 break
-            del left_low[-1], left_high[-1], right_low[-1], right_high[-1]
-        if left_low:
-            pll, plh, prl, prh = left_low[-1], left_high[-1], right_low[-1], right_high[-1]
-            while plh and tgt[plh] == u:
-                plh = ref[plh]
-            if not plh:  # trimmed empty
-                pll = 0
-            while prh and tgt[prh] == u:
-                prh = ref[prh]
-            if not prh:  # trimmed empty
-                prl = 0
-            left_low[-1], left_high[-1], right_low[-1], right_high[-1] = pll, plh, prl, prh
+            stack.pop()
+        if stack:
+            ll, lh, rl, rh = stack[-1]
+            while lh and tgt[lh] == u:
+                lh = ref[lh]
+            while rh and tgt[rh] == u:
+                rh = ref[rh]
+            stack[-1] = ll if lh else 0, lh, rl if rh else 0, rh  # an interval trimmed of its high edge is empty
 
     pos = first[:]
     for root in roots:
@@ -202,7 +193,7 @@ def _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt)
             e, i, end = parent_edge[v], pos[v], first[v + 1]
             while i < end:
                 ei = order[i]
-                stack_bottom[ei] = len(left_low)
+                stack_bottom[ei] = len(stack)
                 w = tgt[ei]
                 if parent_edge[w] == ei:  # tree edge: descend, integrate ei when w is done
                     pos[v] = i
@@ -210,10 +201,7 @@ def _constraints_hold(roots, order, first, src, tgt, height, parent_edge, lowpt)
                     break
                 # back edge: it returns below v; like any edge of v but the
                 # first in nesting order, its return edges add constraints
-                left_low.append(0)
-                left_high.append(0)
-                right_low.append(ei)
-                right_high.append(ei)
+                stack.append((0, 0, ei, ei))
                 if i != first[v] and not add_constraints(ei, e):
                     return False
                 i += 1

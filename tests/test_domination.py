@@ -47,6 +47,8 @@ class TestVerifyDomination:
     def test_membership_validated(self):
         with pytest.raises(InputError):
             verify_domination(path(3), {9}, {0})
+        with pytest.raises(InputError, match="^chosen must be a collection of vertices, got None$"):
+            verify_domination(path(3), None, {0})
 
 
 class TestMdsSize:
@@ -67,6 +69,10 @@ class TestMdsSize:
 
     def test_empty_target(self):
         assert mds_size(path(4), frozenset()) == 0
+
+    def test_target_must_be_a_set_of_vertices(self):
+        with pytest.raises(InputError, match="^target must be a collection of vertices, got 5$"):
+            mds_size(path(4), 5)
 
     def test_matches_exhaustive_on_random_corpus(self, rng):
         for _ in range(30):

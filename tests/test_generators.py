@@ -142,6 +142,27 @@ class TestParameterValidation:
         with pytest.raises(InputError):
             generate(spec)
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("randomPlanarTriangulation", {"n": 20, "deletion": 15}, "'deletion' (it takes: ['n', 'deletions'])"),
+            ("grid", {"rows": 3, "cols": 3, "colz": 4}, "'colz' (it takes: ['rows', 'cols'])"),
+            ("gadgetGraft", {"n": 60, "rows": 3}, "'rows' (it takes: ['host', 'gadgets', 'spacing', 'gadget', 'n'])"),
+            (
+                "gadgetGraft",
+                {"host": "grid", "rows": 3, "cols": 40, "n": 60},
+                "'n' (it takes: ['host', 'gadgets', 'spacing', 'gadget', 'rows', 'cols'])",
+            ),
+        ],
+        ids=["deletion", "colz", "path-host-rows", "grid-host-n"],
+    )
+    def test_rejects_parameters_the_family_does_not_read(self, family, params, message):
+        # a suite's CSV row records every parameter, so one the graph ignores
+        # would misreport it; a graft reads the sizes of its own host only
+        with pytest.raises(InputError) as raised:
+            generate(GeneratorSpec(family, params))
+        assert str(raised.value) == f"{family} takes no parameter {message}"
+
     @pytest.mark.parametrize("n", [5.7, True, "5"])
     def test_parameters_are_never_coerced(self, n):
         # coercion would build a 5-vertex path from 5.7 and a 1-vertex path from True

@@ -34,8 +34,15 @@ class TestConstruction:
             LabeledGraph.from_edges(2, [(0, 0)])
 
     def test_rejects_duplicate_edges(self):
-        with pytest.raises(InputError):
-            LabeledGraph.from_edges(3, [(0, 1), (1, 0)])
+        # either orientation, and the same orientation twice
+        for edges, message in (
+            ([(0, 1), (1, 0)], "0-1"),
+            ([(1, 0), (0, 1)], "0-1"),
+            ([(0, 1), (0, 1)], "0-1"),
+            ([(2, 1), (2, 1)], "1-2"),
+        ):
+            with pytest.raises(InputError, match=f"^duplicate edge {message}$"):
+                LabeledGraph.from_edges(3, edges)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
@@ -348,6 +355,24 @@ class TestVertexSet:
     def test_names_the_set_and_the_stray_member(self):
         with pytest.raises(InputError, match="^chosen contains 'x', which is not a vertex$"):
             vertex_set(path(4), [1, "x"], "chosen")
+
+    @pytest.mark.parametrize("s, stray", [([True], "True"), ([2, False], "False"), ([1.0], "1.0")])
+    def test_members_must_be_int_labels(self, s, stray):
+        # True == 1 and 1.0 == 1, so they pass a plain membership test
+        with pytest.raises(InputError, match=f"^s contains {stray}, which is not a vertex$"):
+            vertex_set(path(4), s, "s")
+
+    @pytest.mark.parametrize("s", [5, None])
+    def test_rejects_a_non_collection(self, s):
+        with pytest.raises(InputError, match=f"^s must be a collection of vertices, got {s}$"):
+            vertex_set(path(4), s, "s")
+
+    def test_searches_take_no_bool_labels(self):
+        g = path(4)
+        with pytest.raises(InputError, match="^sources contains True"):
+            neighborhood(g, [True])
+        with pytest.raises(InputError, match="^sources contains True"):
+            ball(g, True, 1)
 
     def test_checks_against_the_graph_not_the_label_range(self):
         g = path(6).induced({2, 3, 4})

@@ -4,6 +4,9 @@ packing bound against exhaustion, the view executor against the flooding
 executor, and B's component-first error set against the per-vertex one, on
 small graphs drawn by hypothesis (see the settings profile in conftest.py)."""
 import itertools
+import random
+import sys
+from types import CodeType
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -26,8 +29,8 @@ from localmds import (
 )
 from localmds.composition import component_error_set
 from localmds.domination import _closed_masks, _packing, _union
-from localmds.planarity import _lr_test
-from conftest import disjoint_union
+from localmds.planarity import _constraints_hold, _lr_test
+from conftest import disjoint_union, random_graph
 from reference import (
     exhaustive_all_mds,
     exhaustive_mds_size,
@@ -96,12 +99,45 @@ def test_domination_oracles_agree_with_exhaustion(instance):
 # two graphs on 7 vertices whose searches reach the tester's rarer branches:
 # the first fails when a back edge conflicts with both sides, the second
 # empties a right interval while trimming
-@example(LabeledGraph.from_edges(7, [(0, 2), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (3, 6), (4, 5), (5, 6)]))
-@example(LabeledGraph.from_edges(7, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 6), (3, 4), (3, 6), (5, 6)]))
+PINNED_PLANARITY_GRAPHS = [
+    LabeledGraph.from_edges(7, [(0, 2), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (3, 6), (4, 5), (5, 6)]),
+    LabeledGraph.from_edges(7, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 6), (3, 4), (3, 6), (5, 6)]),
+]
+
+
+@example(PINNED_PLANARITY_GRAPHS[0])
+@example(PINNED_PLANARITY_GRAPHS[1])
 @given(sparse_labeled_graphs())
 def test_planarity_verdict_equals_networkx(g):
     # the left-right test itself too, past the early exits on edge counts
     assert is_planar(g) == _lr_test(g) == networkx_is_planar(g)
+
+
+def test_planarity_examples_reach_every_line_of_the_testing_pass():
+    # the differential test above is what checks the testing pass's
+    # failure paths, so the pinned graphs and small graphs like its draws
+    # must still execute every line of _constraints_hold and its helpers
+    codes = {_constraints_hold.__code__, *(c for c in _constraints_hold.__code__.co_consts if isinstance(c, CodeType))}
+    rng = random.Random(0)
+    sample = [random_graph(rng.randrange(5, 13), rng.uniform(0.2, 0.6), rng) for _ in range(60)]
+    ran = set()
+
+    def trace_line(frame, event, arg):
+        ran.add((frame.f_code, frame.f_lineno))
+        return trace_line
+
+    def trace_call(frame, event, arg):
+        return trace_line(frame, event, arg) if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_call)
+    try:
+        for g in PINNED_PLANARITY_GRAPHS + sample:
+            _lr_test(g)
+    finally:
+        sys.settrace(previous)
+    lines = {(c, line) for c in codes for _, _, line in c.co_lines() if line is not None}
+    assert sorted(line for _, line in lines - ran) == []
 
 
 @given(graphs(), st.data())
