@@ -11,7 +11,17 @@ greedy cover for the size, at the optimum size for the enumeration, and,
 for the best set, first below a greedy cover over the allowed candidates
 and then as a feasibility test on a prefix. The best set searches a
 prefix only when the last completion found does not already prove it can
-be finished. `budget` caps the search nodes of one whole query.
+be finished, and such a search stops at its first cover. `budget` caps
+the search nodes of one whole query, over all of its passes.
+
+The size search also applies a swap rule at every branching node: a
+dominator of the branch vertex whose coverage of the uncovered vertices
+lies inside another free dominator's is banned, since a cover using it
+stays a cover with the other in its place. That keeps the optimum size
+but drops covers, so it never runs in the enumeration, in the best set's
+searches, or in the witness pass of `minimum_dominating_set`, which
+reruns the plain search from the optimum and stops at its first cover:
+the set the plain search from greedy returns.
 
 The search prunes with two lower bounds on the members still needed: the
 coverage bound ceil(|uncovered| / best coverage), and a packing bound
@@ -218,7 +228,11 @@ def _search(
     cands: list[int],
     rem: int,
     limit: int,
+    step: str,
+    *,
     found: list[tuple[int, ...]] | None = None,
+    swaps: bool = False,
+    first: bool = False,
 ) -> tuple[int, ...] | None:
     """Covers of `rem` (inside the target) by at most `limit` members of `cands`, depth first.
 
@@ -243,10 +257,21 @@ def _search(
     `reach`, the union of N[c] over its dominators c, are built the first
     time a node reads them and kept for the call.
 
+    With `swaps`, each branching node also bans the dominators of its
+    branch vertex b whose coverage of the uncovered vertices lies inside
+    another free dominator's: strictly inside, or equal with the other one
+    earlier in the branch order, a strict order whose maximal elements are
+    the dominators kept. Any container of such a coverage holds b, so only
+    b's dominators are compared. A cover below the node that uses a banned
+    dominator stays a cover, no larger, with the maximal container in its
+    place, so the smallest cover size below the node is kept, but covers
+    are lost: sizes and yes/no answers only, never `found` or a witness.
+
     Without `found`, returns the first strictly smallest cover met, or
-    None: each cover found lowers `limit` to one below its size. With
-    `found`, appends every cover of exactly `limit` members to it; `limit`
-    must then be the optimum.
+    None: each cover found lowers `limit` to one below its size, and with
+    `first` the search returns that first cover at once. With `found`,
+    appends every cover of exactly `limit` members to it; `limit` must then
+    be the optimum. `step` names the pass in a budget error.
     """
     closed = inst.closed
     ranked = sorted((-(closed[c] & rem).bit_count(), c) for c in cands if closed[c] & rem)
@@ -270,13 +295,15 @@ def _search(
         inst.used += 1
         if inst.used > inst.budget:
             raise EnumerationBudgetError(
-                f"{inst.query}: exact search exceeded {inst.budget} nodes"
+                f"{inst.query}: exact search exceeded {inst.budget} nodes in {step}"
                 f" (target of {inst.target_mask.bit_count()} vertices)"
             )
         if not rem:
             if count > limit:
                 continue  # pushed before `limit` tightened
             if found is None:
+                if first:
+                    return chosen
                 best, limit = chosen, count - 1
             elif count < limit:
                 raise InvariantError("enumeration found a cover smaller than the optimum")
@@ -300,8 +327,17 @@ def _search(
             if low:
                 break
         b = (low & -low).bit_length() - 1
+        doms = dominators[b]
+        if swaps:
+            free = [(c, closed[c] & rem) for c in doms if not banned >> c & 1]
+            doms = []
+            for i, (c, cv) in enumerate(free):
+                if any(cv & dv == cv and (cv != dv or j < i) for j, (_, dv) in enumerate(free) if j != i):
+                    banned |= 1 << c
+                else:
+                    doms.append(c)
         children = []
-        for c in dominators[b]:
+        for c in doms:
             if not banned >> c & 1:
                 children.append((rem & ~closed[c], chosen + (c,), banned))
                 banned |= 1 << c
@@ -309,24 +345,38 @@ def _search(
     return best
 
 
-def _solve(inst: _Instance) -> tuple[int, ...]:
-    """One minimum cover (candidate indices): greedy, reductions, then the
-    search for anything strictly smaller than the greedy cover."""
+def _solve(inst: _Instance, witness: bool) -> tuple[int, ...]:
+    """A minimum cover (candidate indices): greedy, reductions, then the
+    size pass, the swap-rule search for anything strictly smaller than the
+    greedy cover, which proves the optimum m; greedy is kept when optimal.
+
+    With `witness`, the plain search then runs from limit m and returns its
+    first cover, which is the set the plain search from greedy returns.
+    That search's tree (branch vertices, child order, bans) does not depend
+    on its limit, and its bounds prune only subtrees with no cover within
+    the limit, so from any limit >= m it meets the same first m-cover depth
+    first; from greedy's limit it only passes larger covers on the way."""
     greedy = tuple(_greedy(inst, inst.cands))
     cands, tmask = _reduce(inst)
-    best = _search(inst, cands, tmask, len(greedy) - 1)
-    return greedy if best is None else best
+    best = _search(inst, cands, tmask, len(greedy) - 1, "the size search", swaps=True)
+    if best is None:
+        return greedy
+    if witness:
+        best = _search(inst, cands, tmask, len(best), "the witness search", first=True)
+        if best is None:
+            raise InvariantError("the witness search found no cover of the optimum size")
+    return best
 
 
 def mds_size(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum number of vertices of g whose closed neighborhoods cover `target`."""
-    return len(_solve(_Instance(g, target, "mds_size", budget)))
+    return len(_solve(_Instance(g, target, "mds_size", budget), False))
 
 
 def minimum_dominating_set(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> VertexSet:
     """One exact minimum dominating set of `target`; deterministic for fixed inputs."""
     inst = _Instance(g, target, "minimum_dominating_set", budget)
-    return inst.to_labels(_solve(inst))
+    return inst.to_labels(_solve(inst, True))
 
 
 def all_minimum_dominating_sets(
@@ -340,7 +390,7 @@ def all_minimum_dominating_sets(
     """
     inst = _Instance(g, target, "all_minimum_dominating_sets", budget)
     found: list[tuple[int, ...]] = []
-    _search(inst, inst.cands, inst.target_mask, len(_solve(inst)), found)
+    _search(inst, inst.cands, inst.target_mask, len(_solve(inst, False)), "the enumeration", found=found)
     return sorted((inst.to_labels(s) for s in found), key=sorted)
 
 
@@ -398,7 +448,7 @@ def best_minimum_dominating_set(
     discard = _dominated(closed, scope)
     allowed = [c for c in inst.cands if not discard >> c & 1]
     greedy = _greedy(inst, allowed)
-    witness = sorted(_search(inst, allowed, inst.target_mask, len(greedy) - 1) or greedy)
+    witness = sorted(_search(inst, allowed, inst.target_mask, len(greedy) - 1, "the size search") or greedy)
     m = len(witness)
     chosen: list[int] = []
     rem = inst.target_mask
@@ -411,7 +461,8 @@ def best_minimum_dominating_set(
         elif rest:
             if len(chosen) + 1 == m:
                 continue  # no room left to cover `rest`
-            found = _search(inst, allowed[p + 1 :], rest, m - len(chosen) - 1)
+            step = f"the search completing a prefix of {len(chosen) + 1} to {m} members"
+            found = _search(inst, allowed[p + 1 :], rest, m - len(chosen) - 1, step, first=True)
             if found is None:
                 continue
             witness = sorted(found)

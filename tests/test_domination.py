@@ -17,7 +17,7 @@ from localmds import (
     strictly_dominated,
     verify_domination,
 )
-from localmds.domination import _greedy, _Instance
+from localmds.domination import _greedy, _Instance, _reduce, _search
 from reference import exhaustive_all_mds, exhaustive_mds_size, milp_mds_size, strictly_dominated_by_pairs
 
 
@@ -257,7 +257,10 @@ class TestBestMinimumDominatingSet:
 
     def test_budget_error(self):
         g = grid(5, 5)
-        message = r"^best_minimum_dominating_set: exact search exceeded 3 nodes \(target of 25 vertices\)$"
+        message = (
+            r"^best_minimum_dominating_set: exact search exceeded 3 nodes in the size search"
+            r" \(target of 25 vertices\)$"
+        )
         with pytest.raises(EnumerationBudgetError, match=message):
             best_minimum_dominating_set(g, g.labels, budget=3)
 
@@ -387,28 +390,29 @@ class TestPinnedNodeCounts:
 
     def test_minimum_set_on_torus(self):
         g = generate(GeneratorSpec("toroidalGrid", {"rows": 7, "cols": 7}))
-        _needs_exactly(11959, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
+        _needs_exactly(7514, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
 
     def test_enumeration_on_grid(self):
         g = grid(4, 8)
-        _needs_exactly(410, lambda budget: all_minimum_dominating_sets(g, g.labels, budget=budget))
+        _needs_exactly(392, lambda budget: all_minimum_dominating_sets(g, g.labels, budget=budget))
 
     def test_best_set_on_triangulation_view(self):
         g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1))
         view = ball(g, 0, 4)
         near = frozenset(v for v, d in view.dist.items() if d <= 3)
         _needs_exactly(
-            37,
+            28,
             lambda budget: best_minimum_dominating_set(view.subgraph, near, compare=near, budget=budget),
         )
 
     def test_minimum_set_after_reductions(self):
         g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 100, "deletions": 60}, seed=1))
-        _needs_exactly(22, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
+        _needs_exactly(41, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
 
     def test_minimum_set_after_equal_target_tie_break(self):
-        # targets with equal coverer sets keep the lower label; keeping the
-        # higher one instead solves this query in 5 nodes
+        # targets with equal coverer sets keep the lower label. Keeping the
+        # higher one instead leaves the first query at 10 nodes but makes
+        # the second one return [1, 2, 7, 10]
         edges = [
             (0, 3), (0, 4), (0, 9), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6),
             (2, 8), (3, 5), (3, 9), (3, 10), (3, 12), (4, 6), (4, 7), (4, 9), (5, 7), (5, 10),
@@ -416,8 +420,87 @@ class TestPinnedNodeCounts:
         ]
         g = LabeledGraph.from_edges(13, edges)
         target = [0, 1, 3, 4, 5, 6, 7, 8, 10, 11]
-        _needs_exactly(6, lambda budget: minimum_dominating_set(g, target, budget=budget))
+        _needs_exactly(10, lambda budget: minimum_dominating_set(g, target, budget=budget))
         assert minimum_dominating_set(g, target) == {3, 6}
+        edges = [(0, 3), (0, 10), (1, 3), (1, 5), (3, 4), (4, 7), (4, 9), (5, 8), (6, 7), (8, 9), (9, 10)]
+        g = LabeledGraph.from_edges(11, edges)
+        target = [0, 2, 3, 4, 5, 6, 7, 9, 10]
+        _needs_exactly(12, lambda budget: minimum_dominating_set(g, target, budget=budget))
+        assert minimum_dominating_set(g, target) == {0, 2, 7, 8}
+
+
+class TestBudgetErrorNamesItsPass:
+    """A budget error says which pass of its query ran out of nodes."""
+
+    def test_size_and_witness_passes(self):
+        # the size pass and the witness pass share the 7x7 torus's 7,514 nodes
+        g = generate(GeneratorSpec("toroidalGrid", {"rows": 7, "cols": 7}))
+        for query in (mds_size, minimum_dominating_set):
+            message = rf"^{query.__name__}: exact search exceeded 100 nodes in the size search \(target of 49"
+            with pytest.raises(EnumerationBudgetError, match=message):
+                query(g, g.labels, budget=100)
+        message = r"exceeded 7513 nodes in the witness search \(target of 49"
+        with pytest.raises(EnumerationBudgetError, match=message):
+            minimum_dominating_set(g, g.labels, budget=7513)
+        assert mds_size(g, g.labels, budget=7513) == 12
+
+    def test_enumeration(self):
+        g = grid(4, 8)
+        message = r"exceeded 391 nodes in the enumeration \(target of 32"
+        with pytest.raises(EnumerationBudgetError, match=message):
+            all_minimum_dominating_sets(g, g.labels, budget=391)
+
+    def test_best_set_prefix(self):
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 160}, seed=1))
+        view = ball(g, 0, 4)
+        near = frozenset(v for v, d in view.dist.items() if d <= 3)
+        message = r"exceeded 27 nodes in the search completing a prefix of 16 to 18 members \(target of 139"
+        with pytest.raises(EnumerationBudgetError, match=message):
+            best_minimum_dominating_set(view.subgraph, near, compare=near, budget=27)
+
+
+def plain_minimum_set(g, target):
+    """The slow reference for the two-pass `minimum_dominating_set`: one plain
+    search from below greedy, with no swap rule and no first-cover exit."""
+    inst = _Instance(g, target, "plain", 10**7)
+    greedy = tuple(_greedy(inst, inst.cands))
+    cands, tmask = _reduce(inst)
+    best = _search(inst, cands, tmask, len(greedy) - 1, "the plain search")
+    return inst.to_labels(greedy if best is None else best)
+
+
+class TestTwoPassesAgainstPlainSearch:
+    """The swap rule may drop covers, so the size pass must still find the
+    optimum, and the witness pass must return the plain search's set."""
+
+    def test_random_graphs(self, rng):
+        for _ in range(1000):
+            n = rng.randint(1, 40)
+            g = random_graph(n, rng.uniform(0.03, 0.4), rng)
+            target = rng.sample(g.labels, rng.randint(0, n))
+            want = plain_minimum_set(g, target)
+            assert minimum_dominating_set(g, target) == want
+            assert mds_size(g, target) == len(want)
+
+    @pytest.mark.parametrize("family", ["grid", "toroidalGrid"])
+    def test_grids(self, family):
+        # the 8x8 torus takes about 3 s; it runs with the stress tests below
+        low = 1 if family == "grid" else 3
+        for rows in range(low, 9):
+            for cols in range(low, 9):
+                if family == "toroidalGrid" and rows == cols == 8:
+                    continue
+                g = generate(GeneratorSpec(family, {"rows": rows, "cols": cols}))
+                want = plain_minimum_set(g, g.labels)
+                assert minimum_dominating_set(g, g.labels) == want, (rows, cols)
+                assert mds_size(g, g.labels) == len(want), (rows, cols)
+
+    @pytest.mark.stress
+    def test_torus_8x8(self):
+        g = generate(GeneratorSpec("toroidalGrid", {"rows": 8, "cols": 8}))
+        want = plain_minimum_set(g, g.labels)
+        assert minimum_dominating_set(g, g.labels) == want
+        assert mds_size(g, g.labels) == len(want) == 16
 
 
 def test_neighborhood_oracle_consistency(rng):

@@ -23,9 +23,10 @@ pytestmark = pytest.mark.stress
 
 
 def test_torus_8x8_minimum_set_within_default_budget():
-    # B repairs this torus whole. With the packing bound the search proves
-    # the 16-cover optimal in 497,845 nodes; the coverage bound alone took
-    # 2,322,750 and so exceeded the default budget
+    # B repairs this torus whole. The size pass proves 16 optimal in
+    # 100,273 nodes and the witness pass finds its 16-set in 11,681 more.
+    # One plain search with the packing bound took 497,845 nodes; with the
+    # coverage bound alone it took 2,322,750 and exceeded the default budget
     g = generate(GeneratorSpec("toroidalGrid", {"rows": 8, "cols": 8}))
     best = minimum_dominating_set(g, g.labels)
     assert len(best) == 16
@@ -43,14 +44,31 @@ def test_long_path_size():
     assert mds_size(g, g.labels) == 667
 
 
+def test_torus_11x11_size_within_default_budget():
+    # the size pass alone: 926,651 nodes, about 8 s
+    g = generate(GeneratorSpec("toroidalGrid", {"rows": 11, "cols": 11}))
+    assert mds_size(g, g.labels) == 27
+
+
 def test_torus_11x11_minimum_set_exceeds_default_budget():
+    # the size pass takes 926,651 nodes and the witness pass from 27 then
+    # 140,470: 1,067,121 in all, past the default budget of 10^6
     g = generate(GeneratorSpec("toroidalGrid", {"rows": 11, "cols": 11}))
     with pytest.raises(EnumerationBudgetError):
         minimum_dominating_set(g, g.labels)
 
 
+def test_grid_10x10_size_within_default_budget():
+    # the size pass alone: 109,105 nodes, under 1 s
+    g = generate(GeneratorSpec("grid", {"rows": 10, "cols": 10}))
+    assert mds_size(g, g.labels) == 24
+    assert milp_mds_size(g, g.labels, time_limit=60) == 24
+
+
 def test_grid_10x10_minimum_set_exceeds_default_budget():
-    # the packing bound rarely prunes on grids: the search still fails, after about 4 s
+    # the packing bound rarely prunes on grids, and the witness pass runs
+    # without the swap rule: it needs 1,549,667 nodes after the size
+    # pass's 109,105, so the query runs out of budget in the witness pass
     g = generate(GeneratorSpec("grid", {"rows": 10, "cols": 10}))
     with pytest.raises(EnumerationBudgetError):
         minimum_dominating_set(g, g.labels)
