@@ -96,16 +96,17 @@ class ErrorSetReport:
         return max(self.weak_diameters, default=0)
 
 
-# Verdicts keyed on (predicate, n, ranked edges): a class predicate is isomorphism-invariant,
-# so graphs with the same ranked form share one call. len(VERDICTS) counts the calls made.
+# Verdicts keyed on (predicate, n, packed ranked edges), O(m) bytes: a class predicate is
+# isomorphism-invariant, so graphs with the same ranked form share one call. len(VERDICTS)
+# counts the calls made.
 VERDICTS: dict[tuple, bool] = {}
 
 
 def _holds(predicate: ClassPredicate, h: LabeledGraph | BallView) -> bool:
     """`predicate.test` on a graph h, or on a view h's subgraph, memoised under
     `ranked_form(h)`; a view's subgraph is built only on a miss."""
-    labels, edges = ranked_form(h)
-    key = (predicate, len(labels), edges)
+    labels, code = ranked_form(h)
+    key = (predicate, len(labels), code)
     return memoised(VERDICTS, key, lambda: predicate.test(h.subgraph if isinstance(h, BallView) else h))
 
 

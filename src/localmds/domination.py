@@ -145,10 +145,19 @@ def _dominated(closed: list[int], scope: int) -> int:
     `scope` are compared, each with one AND.
     """
     out = 0
-    for v in _bits(scope):
-        cv = closed[v]
-        if any(cv & closed[w] == cv != closed[w] for w in _bits(cv & scope & ~(1 << v))):
-            out |= 1 << v
+    rest = scope
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cv = closed[low.bit_length() - 1]
+        others = cv & scope & ~low
+        while others:
+            w = others & -others
+            others ^= w
+            cw = closed[w.bit_length() - 1]
+            if cv & cw == cv != cw:
+                out |= low
+                break
     return out
 
 

@@ -12,6 +12,7 @@ and keeps it; two threads that race on it compute the same value.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +42,16 @@ class LabeledGraph:
                     raise InputError(f"loop at vertex {v}")
                 if v not in adj[w]:
                     raise InputError(f"adjacency not symmetric at {v}-{w}")
+        self._fill(adj)
+
+    @classmethod
+    def _valid(cls, adj: dict[int, frozenset[int]]) -> "LabeledGraph":
+        """A graph on `adj`, which the caller built valid: int labels, symmetric, loop-free."""
+        g = cls.__new__(cls)
+        g._fill(adj)
+        return g
+
+    def _fill(self, adj: dict[int, frozenset[int]]) -> None:
         self._adj = adj
         self._labels = tuple(sorted(adj))
         self._m = sum(len(nbrs) for nbrs in adj.values()) // 2
@@ -62,7 +73,7 @@ class LabeledGraph:
                 raise InputError(f"duplicate edge {min(u, v)}-{max(u, v)}")
             adj[u].add(v)
             adj[v].add(u)
-        return cls(adj)
+        return cls._valid({v: frozenset(nbrs) for v, nbrs in adj.items()})
 
     @property
     def n(self) -> int:
@@ -105,7 +116,7 @@ class LabeledGraph:
     def induced(self, keep: Iterable[int]) -> "LabeledGraph":
         """Induced subgraph on `keep`; labels are preserved."""
         ks = vertex_set(self, keep, "vertex set")
-        return LabeledGraph({v: self._adj[v] & ks for v in ks})
+        return LabeledGraph._valid({v: self._adj[v] & ks for v in ks})
 
     def is_canonical(self) -> bool:
         """True when labels are exactly 0..n-1 (host-graph invariant)."""
@@ -249,18 +260,20 @@ def weak_diameter(g: LabeledGraph, s: Iterable[int]) -> int:
     return best
 
 
-def ranked_form(g: LabeledGraph | BallView) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def ranked_form(g: LabeledGraph | BallView) -> tuple[tuple[int, ...], bytes]:
     """Order-preserving compaction of a graph to labels 0..n-1.
 
-    Returns (labels, edges) where labels[i] is the original label of rank i
-    and edges are re-labeled by rank. Two graphs with equal ranked edges are
-    isomorphic via a label-order-preserving map, so results of any
-    computation that consults labels only through their relative order
-    transfer between them. A ball view's form is that of its subgraph, read
-    off the host restricted to the ball without building the subgraph: the
-    one key under which every memo stores a view's result. A graph computes
-    its form once and keeps it, and a view that covers its host returns the
-    host's form.
+    Returns (labels, code) where labels[i] is the original label of rank i
+    and code packs the edges, re-labeled by rank: each edge (i, j) with
+    i < j as the number i * n + j, ascending, by `pack(n, ...)`, so O(m)
+    bytes. Two graphs with equal n and code are isomorphic via a
+    label-order-preserving map, so results of any computation that
+    consults labels only through their relative order transfer between
+    them. A ball view's form is that of its subgraph, read off the host
+    restricted to the ball without building the subgraph: with n, the one
+    key under which every memo stores a view's result. A graph computes
+    its form once and keeps it, and a view that covers its host returns
+    the host's form.
     """
     if isinstance(g, BallView) and not g.covers_host:
         return _ranked(g._host, g.vertices)
@@ -270,11 +283,25 @@ def ranked_form(g: LabeledGraph | BallView) -> tuple[tuple[int, ...], tuple[tupl
     return host._form
 
 
-def _ranked(host: LabeledGraph, labels: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _ranked(host: LabeledGraph, labels: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
+    n = len(labels)
     pos = {v: i for i, v in enumerate(labels)}
-    edges = [(i, pos[w]) for i, v in enumerate(labels) for w in host.neighbors(v) if v < w and w in pos]
-    edges.sort()
-    return labels, tuple(edges)
+    codes = [i * n + pos[w] for i, v in enumerate(labels) for w in host.neighbors(v) if v < w and w in pos]
+    codes.sort()
+    return labels, pack(n, codes)
+
+
+_ITEMS = sorted((array(t).itemsize, t) for t in "BHILQ")  # (bytes, typecode), narrowest first
+
+
+def pack(n: int, values: Iterable[int]) -> bytes:
+    """`values`, each in 0..n*n-1, as the bytes of an array of the narrowest
+    unsigned item that holds n*n-1; a larger value raises OverflowError."""
+    top = n * n - 1
+    for size, typecode in _ITEMS:  # past the widest item, `array` raises
+        if top < 1 << 8 * size:
+            break
+    return array(typecode, values).tobytes()
 
 
 # --- on-disk formats -------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size
 from .errors import InputError, InvariantError, require_int
-from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, ranked_form, vertex_set
+from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, pack, ranked_form, vertex_set
 from .runtime import LocalAlgorithm, RoundLedger, memoised, run_by_views
 
 VIEW_RADIUS = 4
@@ -43,8 +43,9 @@ class NominationDecision:
     nominee: int
 
 
-# Best sets in ranks, keyed on (n, ranked edges, target ranks): views with the same
-# ranked form share one search. len(BEST_SETS) counts the searches made.
+# Best sets in ranks, keyed on (n, packed ranked edges, packed target ranks), O(m) bytes:
+# views with the same ranked form and targets share one search. len(BEST_SETS) counts
+# the searches made.
 BEST_SETS: dict[tuple, tuple[int, ...]] = {}
 
 
@@ -57,16 +58,17 @@ def best_local_set(view: BallView) -> VertexSet:
     """
     if view.radius != VIEW_RADIUS:
         raise InputError(f"nomination rule needs radius-{VIEW_RADIUS} views, got {view.radius}")
-    labels, edges = ranked_form(view)
+    labels, code = ranked_form(view)
     dist = view.dist
-    targets = tuple(i for i, v in enumerate(labels) if dist[v] <= TARGET_RADIUS)
+    targets = [i for i, v in enumerate(labels) if dist[v] <= TARGET_RADIUS]
 
     def search() -> tuple[int, ...]:
         near = frozenset(labels[i] for i in targets)
         pos = {v: i for i, v in enumerate(labels)}
         return tuple(sorted(pos[v] for v in best_minimum_dominating_set(view, near, compare=near)))
 
-    return frozenset(labels[i] for i in memoised(BEST_SETS, (len(labels), edges, targets), search))
+    n = len(labels)
+    return frozenset(labels[i] for i in memoised(BEST_SETS, (n, code, pack(n, targets)), search))
 
 
 def nomination_rule(view: BallView) -> NominationDecision:

@@ -2,7 +2,8 @@
 
 These deliberately share no code path with the package: power-set
 exhaustion for domination, pairwise comparison for strict neighborhood
-containment, simple-path enumeration for distances, and a
+containment, simple-path enumeration for distances, rank pairs and a
+byte decoder for the packed ranked form, and a
 subdivision search (complete graph on five vertices, or complete bipartite
 3x3) for planarity. Keep instances small; everything here is exponential.
 The exceptions reach past exhaustion through independent libraries: the
@@ -13,6 +14,7 @@ embedding along the way.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -97,6 +99,26 @@ def strictly_dominated_by_pairs(g: LabeledGraph, within=None) -> frozenset[int]:
     scope = set(g.labels) if within is None else set(within)
     closed = {v: set(g.neighbors(v)) | {v} for v in g.labels}
     return frozenset(v for v in scope if any(closed[v] < closed[w] for w in scope))
+
+
+def ranked_edges(g: LabeledGraph) -> tuple[tuple[int, int], ...]:
+    """The edges of g re-labeled by rank, as ascending (i, j) pairs with i < j."""
+    rank = {v: i for i, v in enumerate(sorted(g.labels))}
+    return tuple(sorted((rank[u], rank[v]) for u, v in g.edges()))
+
+
+def item_width(n: int) -> int:
+    """The fewest of 1, 2, 4 or 8 bytes that hold n * n - 1."""
+    return next(w for w in (1, 2, 4, 8) if n * n - 1 < 256**w)
+
+
+def decode(n: int, code: bytes) -> tuple[tuple[int, int], ...]:
+    """The (i, j) pairs of a packed ranked form: each number i * n + j is
+    stored in `item_width(n)` native-order bytes."""
+    width = item_width(n)
+    assert len(code) % width == 0
+    numbers = [int.from_bytes(code[k : k + width], sys.byteorder) for k in range(0, len(code), width)]
+    return tuple(divmod(x, n) for x in numbers)
 
 
 def enumerated_distances(g: LabeledGraph, source: int) -> dict[int, int]:

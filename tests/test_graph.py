@@ -15,8 +15,8 @@ from localmds import (
     write_edge_list,
     write_vertex_set,
 )
-from localmds.graph import vertex_set
-from reference import enumerated_distances
+from localmds.graph import pack, vertex_set
+from reference import decode, enumerated_distances, ranked_edges
 
 
 class TestConstruction:
@@ -71,6 +71,19 @@ class TestConstruction:
     def test_equality(self):
         assert path(4) == LabeledGraph.from_edges(4, [(2, 3), (0, 1), (1, 2)])
         assert path(4) != cycle(4)
+
+    def test_from_edges_and_induced_skip_the_checks_of_init(self, monkeypatch):
+        # both build their adjacency valid, so neither goes through __init__,
+        # which keeps every check for the mappings callers pass in
+        def refuse(self, adjacency):
+            raise AssertionError("LabeledGraph.__init__ re-checked a graph built valid")
+
+        monkeypatch.setattr(LabeledGraph, "__init__", refuse)
+        g = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert g.n == 5 and g.m == 4 and g.neighbors(2) == {1, 3}
+        sub = g.induced({1, 2, 4})
+        assert sub.labels == (1, 2, 4) and sub.m == 1 and sub.neighbors(4) == frozenset()
+        assert type(sub.neighbors(1)) is frozenset and type(g.neighbors(1)) is frozenset
 
 
 class TestDistances:
@@ -278,15 +291,34 @@ class TestAgainstEnumeration:
 class TestRankedForm:
     def test_identity_on_canonical(self):
         g = path(4)
-        labels, edges = ranked_form(g)
+        labels, code = ranked_form(g)
         assert labels == (0, 1, 2, 3)
-        assert edges == ((0, 1), (1, 2), (2, 3))
+        assert decode(4, code) == ((0, 1), (1, 2), (2, 3))
 
     def test_compacts_induced(self):
         g = path(6).induced({2, 3, 4})
-        labels, edges = ranked_form(g)
+        labels, code = ranked_form(g)
         assert labels == (2, 3, 4)
-        assert edges == ((0, 1), (1, 2))
+        assert decode(3, code) == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("n, itemsize", [(256, 2), (257, 4), (65536, 4), (65537, 8)])
+    def test_item_width_at_its_boundaries(self, n, itemsize):
+        # a path on the lower labels plus an edge between the two highest,
+        # whose code (n-2) * n + n-1 = n*n - n - 1 is the largest one possible
+        g = LabeledGraph.from_edges(n, [(v, v + 1) for v in range(n - 3)] + [(n - 2, n - 1)])
+        labels, code = ranked_form(g)
+        assert labels == tuple(range(n))
+        assert len(code) == itemsize * g.m
+        assert decode(n, code) == ranked_edges(g)
+        assert decode(n, code)[-1] == (n - 2, n - 1)
+
+    def test_a_number_past_the_item_raises(self):
+        # 16 * 16 - 1 = 255 fits one byte; 256 does not, and is never wrapped to 0
+        assert pack(16, [255]) == bytes([255])
+        with pytest.raises(OverflowError):
+            pack(16, [256])
+        with pytest.raises(OverflowError):
+            pack(2**32 + 1, [2**64])
 
     def test_covering_view_shares_the_hosts_form(self):
         # the host computes its form once; a view covering it returns that

@@ -32,9 +32,11 @@ from localmds.domination import _closed_masks, _packing, _union
 from localmds.planarity import _constraints_hold, _lr_test
 from conftest import disjoint_union, random_graph
 from reference import (
+    decode,
     exhaustive_all_mds,
     exhaustive_mds_size,
     networkx_is_planar,
+    ranked_edges,
     strictly_dominated_by_pairs,
 )
 
@@ -170,6 +172,20 @@ def test_ranked_form_of_ball_equals_ranked_form_of_its_subgraph(g, data):
     # a view's form is read off the host, restricted to the ball
     view = ball(g, data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, 3)))
     assert ranked_form(view) == ranked_form(view.subgraph)
+
+
+@given(graphs(), st.data())
+def test_packed_ranked_form_decodes_to_the_ranked_edges(g, data):
+    # under labels that are not 0..n-1, and for every ball view of the result
+    labels = data.draw(st.lists(st.integers(-300, 70000), min_size=g.n, max_size=g.n, unique=True))
+    h = LabeledGraph({labels[v]: [labels[w] for w in g.neighbors(v)] for v in g.labels})
+    form = ranked_form(h)
+    assert form[0] == tuple(sorted(labels))
+    assert decode(h.n, form[1]) == ranked_edges(h)
+    view = ball(h, data.draw(st.sampled_from(labels)), data.draw(st.integers(0, 3)))
+    vertices, code = ranked_form(view)
+    assert vertices == view.subgraph.labels
+    assert decode(len(vertices), code) == ranked_edges(view.subgraph)
 
 
 def _whole_view(view):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cycle, grid, path, random_graph
+from reference import item_width
 import localmds
 from localmds import composition, nomination, runtime
 from localmds import (
@@ -175,6 +176,17 @@ class TestMemoised:
         assert len(nomination.BEST_SETS) == 81
         algorithm_a(grid(10, 10))
         assert len(nomination.BEST_SETS) == 81
+
+    def test_best_set_keys_are_packed(self):
+        # each key is (n, code, targets), the code one item per ball edge, of the
+        # narrowest width that holds n*n - 1 (one byte up to n = 16, then two)
+        g = grid(10, 10)
+        nomination.BEST_SETS.clear()
+        algorithm_a(g)
+        views = [ball(g, v, nomination.VIEW_RADIUS) for v in g.labels]
+        shapes = {(len(view.dist), item_width(len(view.dist)) * view.subgraph.m) for view in views}
+        assert all(type(code) is bytes and type(targets) is bytes for _, code, targets in nomination.BEST_SETS)
+        assert {(n, len(code)) for n, code, _ in nomination.BEST_SETS} == shapes
 
     def test_verdicts_hold_one_key_per_predicate_call(self):
         # radius-15 views of a 40-vertex path are paths of 16..31 vertices;
