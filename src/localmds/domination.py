@@ -6,22 +6,22 @@ candidate pool is restricted to the closed neighborhood of the target,
 which loses nothing: a vertex outside N[target] covers no target vertex,
 so no minimum dominating set of the target can contain one.
 
-Every query runs one iterative branch and bound, `_search`: below a
-greedy cover for the size, at the optimum size for the enumeration, and,
-for the best set, first below a greedy cover over the allowed candidates
-and then as a feasibility test on a prefix. The best set searches a
-prefix only when the last completion found does not already prove it can
-be finished, and such a search stops at its first cover. `budget` caps
-the search nodes of one whole query, over all of its passes.
+Every query runs one iterative branch and bound, `_search`, and takes
+its optimum size m from one size pass, `_minimum_cover`: a greedy cover,
+then the search for anything strictly smaller, unreduced. The enumeration
+collects every cover of m members. The best set runs its size pass over
+the allowed candidates, then searches a prefix, up to its first cover,
+only when the last completion found does not already prove it can be
+finished. `budget` caps the search nodes of one query, over all passes.
 
-The size search also applies a swap rule at every branching node: a
+The size pass also applies a swap rule at every branching node: a
 dominator of the branch vertex whose coverage of the uncovered vertices
 lies inside another free dominator's is banned, since a cover using it
 stays a cover with the other in its place. That keeps the optimum size
-but drops covers, so it never runs in the enumeration, in the best set's
-searches, or in the witness pass of `minimum_dominating_set`, which
-reruns the plain search from the optimum and stops at its first cover:
-the set the plain search from greedy returns.
+but drops covers, so no other search uses it. Only the witness pass of
+`minimum_dominating_set` reduces the instance (`_reduce`), then reruns
+the plain search from the optimum to its first cover: the set the plain
+search from greedy returns.
 
 The search prunes with two lower bounds on the members still needed: the
 coverage bound ceil(|uncovered| / best coverage), and a packing bound
@@ -162,7 +162,7 @@ def _dominated(closed: list[int], scope: int) -> int:
 
 
 def _reduce(inst: _Instance) -> tuple[list[int], int]:
-    """Standard lossless set-cover reductions for size/witness search.
+    """Standard lossless set-cover reductions for the witness search.
 
     Drops a target vertex whose coverer set contains another's (covering
     the harder vertex covers it for free) and a candidate whose coverage is
@@ -172,7 +172,7 @@ def _reduce(inst: _Instance) -> tuple[list[int], int]:
     sets sharing a member are compared: a set's containers are the common
     holders of its members. Target b's coverers are `closed[b] & live`.
     Neither rule changes the optimum size, and any witness over the reduced
-    instance dominates the full target. Enumeration never uses this.
+    instance dominates the full target. Only the witness pass uses this.
     """
     closed = inst.closed
     cands, tmask = inst.cands, inst.target_mask
@@ -280,7 +280,8 @@ def _search(
     None: each cover found lowers `limit` to one below its size, and with
     `first` the search returns that first cover at once. With `found`,
     appends every cover of exactly `limit` members to it; `limit` must then
-    be the optimum. `step` names the pass in a budget error.
+    be the optimum. `step` names the pass in a budget error. The plain
+    limit-lowering mode is kept for the test reference `plain_minimum_set`.
     """
     closed = inst.closed
     ranked = sorted((-(closed[c] & rem).bit_count(), c) for c in cands if closed[c] & rem)
@@ -354,38 +355,37 @@ def _search(
     return best
 
 
-def _solve(inst: _Instance, witness: bool) -> tuple[int, ...]:
-    """A minimum cover (candidate indices): greedy, reductions, then the
-    size pass, the swap-rule search for anything strictly smaller than the
-    greedy cover, which proves the optimum m; greedy is kept when optimal.
-
-    With `witness`, the plain search then runs from limit m and returns its
-    first cover, which is the set the plain search from greedy returns.
-    That search's tree (branch vertices, child order, bans) does not depend
-    on its limit, and its bounds prune only subtrees with no cover within
-    the limit, so from any limit >= m it meets the same first m-cover depth
-    first; from greedy's limit it only passes larger covers on the way."""
-    greedy = tuple(_greedy(inst, inst.cands))
-    cands, tmask = _reduce(inst)
-    best = _search(inst, cands, tmask, len(greedy) - 1, "the size search", swaps=True)
-    if best is None:
-        return greedy
-    if witness:
-        best = _search(inst, cands, tmask, len(best), "the witness search", first=True)
-        if best is None:
-            raise InvariantError("the witness search found no cover of the optimum size")
-    return best
+def _minimum_cover(inst: _Instance, cands: list[int]) -> tuple[tuple[int, ...], bool]:
+    """The size pass: a minimum cover by `cands` (indices), greedy's unless the
+    swap-rule search below it finds one smaller, and whether it did."""
+    greedy = tuple(_greedy(inst, cands))
+    best = _search(inst, cands, inst.target_mask, len(greedy) - 1, "the size search", swaps=True)
+    return (greedy, False) if best is None else (best, True)
 
 
 def mds_size(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum number of vertices of g whose closed neighborhoods cover `target`."""
-    return len(_solve(_Instance(g, target, "mds_size", budget), False))
+    inst = _Instance(g, target, "mds_size", budget)
+    return len(_minimum_cover(inst, inst.cands)[0])
 
 
 def minimum_dominating_set(g: LabeledGraph, target: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> VertexSet:
-    """One exact minimum dominating set of `target`; deterministic for fixed inputs."""
+    """One exact minimum dominating set of `target`; deterministic for fixed inputs.
+
+    Greedy's cover if the size pass cannot beat it, else the set the plain
+    search from greedy returns on the reduced instance, rerun from the
+    optimum m to its first cover: its tree does not depend on its limit and
+    its bounds prune only subtrees with no cover within it, so from any
+    limit >= m it meets the same first m-cover.
+    """
     inst = _Instance(g, target, "minimum_dominating_set", budget)
-    return inst.to_labels(_solve(inst, True))
+    best, beat_greedy = _minimum_cover(inst, inst.cands)
+    if beat_greedy:
+        cands, tmask = _reduce(inst)
+        best = _search(inst, cands, tmask, len(best), "the witness search", first=True)
+        if best is None:
+            raise InvariantError("the witness search found no cover of the optimum size")
+    return inst.to_labels(best)
 
 
 def all_minimum_dominating_sets(
@@ -398,8 +398,9 @@ def all_minimum_dominating_sets(
     Exceeding it raises EnumerationBudgetError rather than truncating.
     """
     inst = _Instance(g, target, "all_minimum_dominating_sets", budget)
+    m = len(_minimum_cover(inst, inst.cands)[0])
     found: list[tuple[int, ...]] = []
-    _search(inst, inst.cands, inst.target_mask, len(_solve(inst, False)), "the enumeration", found=found)
+    _search(inst, inst.cands, inst.target_mask, m, "the enumeration", found=found)
     return sorted((inst.to_labels(s) for s in found), key=sorted)
 
 
@@ -436,18 +437,16 @@ def best_minimum_dominating_set(
     comparison (used by callers whose views have truncated boundary
     neighborhoods).
 
-    The size m comes from a search over the non-discarded ("allowed")
-    candidates alone, below a greedy cover over them: by the swap argument
-    an optimum lies inside them, so m is the optimum size.
-
-    Built in label order over the allowed candidates: each is kept iff it
-    covers something still uncovered and the search can finish an optimum
-    from later candidates. This equals enumerate-then-filter without the
-    full enumeration; `budget` caps search nodes. `witness`, the ascending
+    The size pass runs over the non-discarded ("allowed") candidates
+    alone: by the swap argument an optimum lies inside them. The set is
+    then built in label order over them: each is kept iff it covers
+    something still uncovered and the search can finish an optimum from
+    later candidates. This equals enumerate-then-filter without the full
+    enumeration; `budget` caps search nodes. `witness`, the ascending
     completion of the chosen prefix that the last search (or the size
-    search) found, makes most of those searches unnecessary: when its
-    smallest member is the candidate at hand, the rest of it finishes an
-    optimum from later candidates, so the search could only say yes. A
+    pass) found, skips most of those searches: when its smallest member is
+    the candidate at hand, the search could only say yes. So the yes/no
+    answers alone fix the set, whichever cover the size pass found. A
     prefix one short of m that leaves something uncovered is rejected with
     no search: there is no room left.
     """
@@ -456,8 +455,7 @@ def best_minimum_dominating_set(
     closed = inst.closed
     discard = _dominated(closed, scope)
     allowed = [c for c in inst.cands if not discard >> c & 1]
-    greedy = _greedy(inst, allowed)
-    witness = sorted(_search(inst, allowed, inst.target_mask, len(greedy) - 1, "the size search") or greedy)
+    witness = sorted(_minimum_cover(inst, allowed)[0])
     m = len(witness)
     chosen: list[int] = []
     rem = inst.target_mask

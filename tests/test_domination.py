@@ -17,6 +17,7 @@ from localmds import (
     strictly_dominated,
     verify_domination,
 )
+from localmds import domination
 from localmds.domination import _greedy, _Instance, _reduce, _search
 from reference import exhaustive_all_mds, exhaustive_mds_size, milp_mds_size, strictly_dominated_by_pairs
 
@@ -376,6 +377,31 @@ class TestPinnedWitnesses:
         assert sorted(got) == [0, 1, 2, 3, 6, 8, 9, 11, 14, 17, 25, 28, 29, 31, 36, 58, 59, 64, 65]
 
 
+class TestReductionsServeOnlyTheWitness:
+    """`_reduce` runs only in `minimum_dominating_set`, and only when the
+    size pass beat greedy: every size proof searches the unreduced instance."""
+
+    @pytest.fixture(autouse=True)
+    def no_reductions(self, monkeypatch):
+        def fail(inst):
+            raise AssertionError("_reduce called")
+
+        monkeypatch.setattr(domination, "_reduce", fail)
+
+    def test_size_queries_never_reduce(self):
+        g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 100, "deletions": 60}, seed=1))
+        assert mds_size(g, g.labels) == 19
+        assert {len(s) for s in all_minimum_dominating_sets(g, g.labels)} == {19}
+        assert len(best_minimum_dominating_set(g, g.labels)) == 19
+        # greedy finds 21 here, so the witness pass still reduces
+        with pytest.raises(AssertionError, match="_reduce called"):
+            minimum_dominating_set(g, g.labels)
+
+    def test_optimal_greedy_needs_no_witness_pass(self):
+        g = path(2000)
+        assert len(minimum_dominating_set(g, g.labels)) == 667
+
+
 def _needs_exactly(nodes, query):
     """`query(budget)` fits in `nodes` search nodes and not in one fewer."""
     query(nodes)
@@ -405,9 +431,15 @@ class TestPinnedNodeCounts:
             lambda budget: best_minimum_dominating_set(view.subgraph, near, compare=near, budget=budget),
         )
 
+    def test_best_set_on_torus(self):
+        # the size pass over the allowed candidates runs with the swap rule
+        g = generate(GeneratorSpec("toroidalGrid", {"rows": 7, "cols": 7}))
+        _needs_exactly(7919, lambda budget: best_minimum_dominating_set(g, g.labels, budget=budget))
+
     def test_minimum_set_after_reductions(self):
+        # the size pass runs unreduced; only the witness pass runs after the reductions
         g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 100, "deletions": 60}, seed=1))
-        _needs_exactly(41, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
+        _needs_exactly(74, lambda budget: minimum_dominating_set(g, g.labels, budget=budget))
 
     def test_minimum_set_after_equal_target_tie_break(self):
         # targets with equal coverer sets keep the lower label. Keeping the

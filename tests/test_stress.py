@@ -81,15 +81,15 @@ def test_algorithm_b_on_torus_10x10():
     assert (report.status, report.output_size) == ("ok", 20)
 
 
-@pytest.mark.parametrize("n", [400, 500])
+@pytest.mark.parametrize("n", [400, 500, 800])
 def test_algorithm_a_on_triangulation(n):
     g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": n}, seed=1))
     assert run_cell(g, {}, {"alg": "A"}).status == "ok"
 
 
-def test_algorithm_a_on_triangulation_800_exceeds_default_budget():
-    # a hub's radius-3 target is most of the graph, and its best-set search runs out
-    g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 800}, seed=1))
+def test_algorithm_a_on_triangulation_1000_exceeds_default_budget():
+    # a hub's radius-3 target is most of the graph, and a best-set prefix search runs out
+    g = generate(GeneratorSpec("randomPlanarTriangulation", {"n": 1000}, seed=1))
     report = run_cell(g, {}, {"alg": "A"})
     assert report.status == "resource"
     assert "best_minimum_dominating_set: exact search exceeded" in report.message
