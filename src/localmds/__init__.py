@@ -24,7 +24,6 @@ from .domination import (
     best_minimum_dominating_set,
     mds_size,
     minimum_dominating_set,
-    strictly_dominated,
     verify_domination,
 )
 from .errors import (
@@ -65,13 +64,10 @@ from .nomination import (
     ROUNDS,
     ARunResult,
     NominationDecision,
-    UniformityCheck,
     algorithm_a,
     algorithm_a_run,
-    check_uniformity,
-    validate_nominations,
 )
 from .planarity import PLANAR, ClassPredicate, is_planar
-from .runtime import LocalAlgorithm, RoundLedger, run_by_messages, run_by_views
+from .runtime import LocalAlgorithm, RoundLedger, run_by_views
 
 __version__ = "0.1.0"

@@ -404,17 +404,6 @@ def all_minimum_dominating_sets(
     return sorted((inst.to_labels(s) for s in found), key=sorted)
 
 
-def strictly_dominated(g: LabeledGraph, within: Iterable[int] | None = None) -> VertexSet:
-    """Vertices v with some w such that N[v] is strictly contained in N[w].
-
-    When `within` is given, both v and w range over it only; by default
-    they range over the whole graph.
-    """
-    pos, closed = _closed_masks(g)
-    scope = vertex_set(g, within, "within") if within is not None else g.labels
-    return frozenset(g.labels[v] for v in _bits(_dominated(closed, sum(1 << pos[v] for v in scope))))
-
-
 def best_minimum_dominating_set(
     g: LabeledGraph | BallView,
     target: Iterable[int],

@@ -20,12 +20,11 @@ neighborhood scale K_UNIFORM is only claimed for planar inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .domination import DEFAULT_BUDGET, best_minimum_dominating_set, mds_size
-from .errors import InputError, InvariantError, require_int
-from .graph import BallView, LabeledGraph, VertexSet, ball, neighborhood, pack, ranked_form, vertex_set
+from .domination import best_minimum_dominating_set
+from .errors import InputError, InvariantError
+from .graph import BallView, LabeledGraph, VertexSet, pack, ranked_form
 from .runtime import LocalAlgorithm, RoundLedger, memoised, run_by_views
 
 VIEW_RADIUS = 4
@@ -100,59 +99,3 @@ def algorithm_a_run(g: LabeledGraph) -> ARunResult:
 def algorithm_a(g: LabeledGraph) -> VertexSet:
     """The nominated dominating set of g."""
     return algorithm_a_run(g).output
-
-
-def validate_nominations(g: LabeledGraph, decisions: Mapping[int, NominationDecision]) -> None:
-    """Recompute every decision from scratch and compare.
-
-    Bypasses the ranked-form cache, so it doubles as a cache-correctness
-    check. Raises InvariantError on any mismatch.
-    """
-    if set(decisions) != set(g.labels):
-        raise InvariantError("decision map does not cover the vertex set")
-    for u, d in decisions.items():
-        view = ball(g, u, VIEW_RADIUS)
-        near = frozenset(v for v, dd in view.dist.items() if dd <= TARGET_RADIUS)
-        fresh = best_minimum_dominating_set(view.subgraph, near, compare=near)
-        if fresh != d.best_local_set:
-            raise InvariantError(f"best local set mismatch at {u}")
-        mine = d.best_local_set & view.subgraph.closed_neighborhood(u)
-        if not mine or d.nominee != min(mine):
-            raise InvariantError(f"nominee mismatch at {u}")
-
-
-@dataclass(frozen=True)
-class UniformityCheck:
-    """Both sides of one uniformity inequality, plus the verdict."""
-
-    holds: bool
-    selected: int  # |output ∩ s|
-    optimum: int  # exact minimum size dominating the radius-k neighborhood of s
-    bound: Fraction  # alpha * optimum
-    witness: VertexSet  # output ∩ s
-
-
-def check_uniformity(
-    g: LabeledGraph,
-    output: VertexSet,
-    s: VertexSet,
-    k: int,
-    alpha: int | Fraction,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> UniformityCheck:
-    """Evaluate |output ∩ s| <= alpha * MDS(g, N^k[s]) with the exact oracle.
-
-    `output` is whatever vertex set the algorithm under scrutiny produced
-    (or a forced adversarial output, for counterexample reproduction).
-    """
-    output = vertex_set(g, output, "output")
-    s = vertex_set(g, s, "s")
-    if type(alpha) is not int and not isinstance(alpha, Fraction):
-        raise InputError(f"alpha must be an integer or a Fraction, got {alpha!r}")
-    alpha = Fraction(alpha)
-    hood = neighborhood(g, s, require_int(k, "k", 0))
-    optimum = mds_size(g, hood, budget=budget)
-    witness = output & s
-    bound = alpha * optimum
-    return UniformityCheck(len(witness) <= bound, len(witness), optimum, bound, witness)

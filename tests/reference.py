@@ -1,24 +1,52 @@
-"""Slow independent reference oracles used only by the test suite.
+"""Slow reference oracles used only by the test suite.
 
-These deliberately share no code path with the package: power-set
-exhaustion for domination, pairwise comparison for strict neighborhood
-containment, simple-path enumeration for distances, rank pairs and a
-byte decoder for the packed ranked form, and a
+The independent oracles deliberately share no code path with the package:
+power-set exhaustion for domination, pairwise comparison for strict
+neighborhood containment, simple-path enumeration for distances, rank
+pairs and a byte decoder for the packed ranked form, and a
 subdivision search (complete graph on five vertices, or complete bipartite
 3x3) for planarity. Keep instances small; everything here is exponential.
 The exceptions reach past exhaustion through independent libraries: the
 domination size from an integer program, solved by HiGHS through scipy,
 and the planarity verdict of networkx's `check_planarity`, which builds an
 embedding along the way.
+
+Three helpers at the end deliberately call package code (`ball`,
+`best_minimum_dominating_set`, `mds_size`) and put no cache in between:
+`validate_nominations` recomputes algorithm A's decisions without the
+ranked-form memo, `check_uniformity` evaluates one uniformity inequality
+with the exact oracle, and `run_by_messages` floods edge knowledge round
+by round, the second LOCAL semantics that `run_by_views` must match.
 """
 from __future__ import annotations
 
 import itertools
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Mapping
 
 import pytest
 
-from localmds import LabeledGraph
+from localmds import (
+    DEFAULT_BUDGET,
+    BallView,
+    InputError,
+    InvariantError,
+    LabeledGraph,
+    LocalAlgorithm,
+    NominationDecision,
+    RoundLedger,
+    VertexSet,
+    ball,
+    best_minimum_dominating_set,
+    mds_size,
+    neighborhood,
+)
+from localmds.errors import require_int
+from localmds.graph import vertex_set
+from localmds.nomination import TARGET_RADIUS, VIEW_RADIUS
+from localmds.runtime import _apply
 
 
 def exhaustive_mds_size(g: LabeledGraph, target) -> int:
@@ -194,3 +222,103 @@ def has_k33_subdivision(g: LabeledGraph) -> bool:
 def planar_by_subdivisions(g: LabeledGraph) -> bool:
     """Planarity reference: no subdivision of K5 or of K3,3. Keep n <= 12."""
     return not (has_k5_subdivision(g) or has_k33_subdivision(g))
+
+
+def validate_nominations(g: LabeledGraph, decisions: Mapping[int, NominationDecision]) -> None:
+    """Recompute every decision from scratch and compare.
+
+    Bypasses the ranked-form cache, so it doubles as a cache-correctness
+    check. Raises InvariantError on any mismatch.
+    """
+    if set(decisions) != set(g.labels):
+        raise InvariantError("decision map does not cover the vertex set")
+    for u, d in decisions.items():
+        view = ball(g, u, VIEW_RADIUS)
+        near = frozenset(v for v, dd in view.dist.items() if dd <= TARGET_RADIUS)
+        fresh = best_minimum_dominating_set(view.subgraph, near, compare=near)
+        if fresh != d.best_local_set:
+            raise InvariantError(f"best local set mismatch at {u}")
+        mine = d.best_local_set & view.subgraph.closed_neighborhood(u)
+        if not mine or d.nominee != min(mine):
+            raise InvariantError(f"nominee mismatch at {u}")
+
+
+@dataclass(frozen=True)
+class UniformityCheck:
+    """Both sides of one uniformity inequality, plus the verdict."""
+
+    holds: bool
+    selected: int  # |output ∩ s|
+    optimum: int  # exact minimum size dominating the radius-k neighborhood of s
+    bound: Fraction  # alpha * optimum
+    witness: VertexSet  # output ∩ s
+
+
+def check_uniformity(
+    g: LabeledGraph,
+    output: VertexSet,
+    s: VertexSet,
+    k: int,
+    alpha: int | Fraction,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> UniformityCheck:
+    """Evaluate |output ∩ s| <= alpha * MDS(g, N^k[s]) with the exact oracle.
+
+    `output` is whatever vertex set the algorithm under scrutiny produced
+    (or a forced adversarial output, for counterexample reproduction).
+    """
+    output = vertex_set(g, output, "output")
+    s = vertex_set(g, s, "s")
+    if type(alpha) is not int and not isinstance(alpha, Fraction):
+        raise InputError(f"alpha must be an integer or a Fraction, got {alpha!r}")
+    alpha = Fraction(alpha)
+    hood = neighborhood(g, s, require_int(k, "k", 0))
+    optimum = mds_size(g, hood, budget=budget)
+    witness = output & s
+    bound = alpha * optimum
+    return UniformityCheck(len(witness) <= bound, len(witness), optimum, bound, witness)
+
+
+def run_by_messages(g: LabeledGraph, alg: LocalAlgorithm) -> tuple[dict[int, Any], RoundLedger]:
+    """Decision of `alg` at every vertex, via flooded knowledge exchange.
+
+    Returns the decision map plus a ledger charging `alg.radius` rounds of
+    view collection. The decision map is identical to :func:`run_by_views`
+    by construction of the reconstruction step; tests assert it.
+    """
+    incident: dict[int, frozenset[tuple[int, int]]] = {
+        u: frozenset((u, w) if u < w else (w, u) for w in g.neighbors(u)) for u in g.labels
+    }
+    know: dict[int, set[tuple[int, int]]] = {u: set(incident[u]) for u in g.labels}
+    fresh: dict[int, set[tuple[int, int]]] = {u: set(incident[u]) for u in g.labels}
+    for _ in range(alg.radius):
+        nxt: dict[int, set[tuple[int, int]]] = {}
+        for u in g.labels:
+            gathered: set[tuple[int, int]] = set()
+            for w in g.neighbors(u):
+                gathered |= fresh[w]
+            gathered -= know[u]
+            know[u] |= gathered
+            nxt[u] = gathered
+        fresh = nxt
+
+    decisions = {}
+    for u in g.labels:
+        view = _reconstruct_view(u, alg.radius, know[u])
+        decisions[u] = _apply(alg.rule, view)
+    return decisions, RoundLedger(view_collection=alg.radius)
+
+
+def _reconstruct_view(center: int, radius: int, edges: set[tuple[int, int]]) -> BallView:
+    """Rebuild the radius-`radius` view of `center` from known edges.
+
+    After r exchange rounds a vertex knows every edge incident to its
+    radius-r ball, which is a superset of the ball's own edges; the ball of
+    the graph of known edges is therefore the exact induced ball.
+    """
+    adj: dict[int, set[int]] = {center: set()}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return ball(LabeledGraph(adj), center, radius)

@@ -20,20 +20,18 @@ from localmds import (
     algorithm_a_run,
     algorithm_b,
     best_minimum_dominating_set,
-    check_uniformity,
     detection_algorithm,
     error_report,
     experiment,
     generate,
     is_planar,
     mds_size,
-    run_by_messages,
     run_by_views,
     t_error_set,
     verify_domination,
 )
 from localmds.nomination import ALGORITHM_A, ALPHA, K_UNIFORM
-from reference import exhaustive_mds_size, planar_by_subdivisions
+from reference import check_uniformity, exhaustive_mds_size, planar_by_subdivisions, run_by_messages
 
 CFG = BConfig(predicate=PLANAR)
 T = CFG.error_radius  # 15 with the default linear control

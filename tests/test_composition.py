@@ -15,7 +15,6 @@ from localmds import (
     RuleError,
     algorithm_a,
     algorithm_b,
-    check_uniformity,
     error_report,
     error_set,
     generate,
@@ -28,6 +27,7 @@ from localmds import (
     verify_domination,
 )
 from localmds.composition import component_error_set
+from reference import check_uniformity
 
 CFG = BConfig(predicate=PLANAR)
 

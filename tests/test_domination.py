@@ -14,11 +14,10 @@ from localmds import (
     mds_size,
     minimum_dominating_set,
     neighborhood,
-    strictly_dominated,
     verify_domination,
 )
 from localmds import domination
-from localmds.domination import _greedy, _Instance, _reduce, _search
+from localmds.domination import _bits, _closed_masks, _dominated, _greedy, _Instance, _reduce, _search
 from reference import exhaustive_all_mds, exhaustive_mds_size, milp_mds_size, strictly_dominated_by_pairs
 
 
@@ -138,6 +137,28 @@ class TestMdsSize:
                 assert len(witness) == exhaustive_mds_size(g, target)
 
 
+class TestClosedForms:
+    """Optima known in closed form, which share no code with the search."""
+
+    def test_paths_and_cycles(self):
+        # gamma(P_n) = gamma(C_n) = ceil(n / 3)
+        for g in [path(n) for n in range(1, 121)] + [cycle(n) for n in range(3, 121)]:
+            expected = -(-g.n // 3)
+            assert mds_size(g, g.labels) == expected
+            assert len(minimum_dominating_set(g, g.labels)) == expected
+
+    @pytest.mark.parametrize("rows, cols", [(5, 5), (5, 10), (5, 15), (10, 10)])
+    def test_perfect_code_on_tori(self, rows, cols):
+        # every closed neighbourhood has 5 vertices, so a dominating set of
+        # rows * cols / 5 members is a perfect code and a minimum one
+        g = generate(GeneratorSpec("toroidalGrid", {"rows": rows, "cols": cols}))
+        assert all(len(g.closed_neighborhood(v)) == 5 for v in g.labels)
+        code = frozenset(i * cols + j for i in range(rows) for j in range(cols) if (j - 2 * i) % 5 == 0)
+        assert len(code) == rows * cols // 5
+        assert verify_domination(g, code, g.labels)
+        assert mds_size(g, g.labels) == rows * cols // 5
+
+
 class TestAllMinimumDominatingSets:
     def test_p3_unique(self):
         g = path(3)
@@ -206,7 +227,7 @@ class TestBestMinimumDominatingSet:
         for _ in range(15):
             g = random_graph(rng.randrange(2, 12), 0.3, rng)
             best = best_minimum_dominating_set(g, g.labels)
-            assert not best & strictly_dominated(g)
+            assert not best & strictly_dominated_by_pairs(g)
 
     def test_equals_enumerate_filter_lexmin(self, rng):
         # two more routes: the enumeration, and power-set exhaustion, which
@@ -215,7 +236,7 @@ class TestBestMinimumDominatingSet:
             n = rng.randrange(1, 11)
             g = random_graph(n, rng.uniform(0.15, 0.5), rng)
             target = frozenset(v for v in g.labels if rng.random() < 0.8)
-            discard = strictly_dominated(g)
+            discard = strictly_dominated_by_pairs(g)
             best = best_minimum_dominating_set(g, target)
             for optima in (all_minimum_dominating_sets(g, target), exhaustive_all_mds(g, target)):
                 survivors = [s for s in optima if not s & discard]
@@ -228,7 +249,7 @@ class TestBestMinimumDominatingSet:
         for _ in range(30):
             g = random_graph(rng.randrange(3, 11), 0.35, rng)
             target = frozenset(g.labels)
-            discard = strictly_dominated(g)
+            discard = strictly_dominated_by_pairs(g)
             for s in all_minimum_dominating_sets(g, target):
                 for v in s & discard:
                     w = next(
@@ -246,7 +267,7 @@ class TestBestMinimumDominatingSet:
         # endpoints of P4 are strictly dominated, but not when the
         # comparison scope is only themselves
         g = path(4)
-        assert strictly_dominated(g, within={0, 3}) == frozenset()
+        assert strictly_dominated_by_pairs(g, within={0, 3}) == frozenset()
         best = best_minimum_dominating_set(g, g.labels, compare={0, 3})
         assert best == {0, 2}  # plain lexicographic minimum, nothing discarded
 
@@ -273,7 +294,7 @@ class TestBestMinimumDominatingSet:
         best = best_minimum_dominating_set(view.subgraph, near, compare=near)
         assert verify_domination(view.subgraph, best, near)
         assert len(best) == mds_size(view.subgraph, near)
-        assert not best & strictly_dominated(view.subgraph, near)
+        assert not best & strictly_dominated_by_pairs(view.subgraph, near)
 
     def test_pinned_on_triangulation_view(self):
         # recorded before the size search moved to the allowed candidates
@@ -292,7 +313,7 @@ class TestBestMinimumDominatingSet:
         for u in g.labels:
             view = ball(g, u, 3)
             near = frozenset(v for v, d in view.dist.items() if d <= 2)
-            discard = strictly_dominated(view.subgraph, near)
+            discard = strictly_dominated_by_pairs(view.subgraph, near)
             optima = all_minimum_dominating_sets(view.subgraph, near, budget=2 * 10**5)
             expected = min((s for s in optima if not s & discard), key=sorted)
             assert best_minimum_dominating_set(view.subgraph, near, compare=near) == expected
@@ -345,7 +366,11 @@ class TestStrictlyDominated:
             within = None
             if rng.random() < 0.8:
                 within = frozenset(rng.sample(g.labels, rng.randrange(n + 1)))
-            assert strictly_dominated(g, within) == strictly_dominated_by_pairs(g, within)
+            # the discard the best set runs, on position masks
+            pos, closed = _closed_masks(g)
+            scope = sum(1 << pos[v] for v in (g.labels if within is None else within))
+            found = frozenset(g.labels[i] for i in _bits(_dominated(closed, scope)))
+            assert found == strictly_dominated_by_pairs(g, within)
 
 
 class TestPinnedWitnesses:

@@ -15,14 +15,13 @@ from localmds import (
     algorithm_a_run,
     ball,
     best_minimum_dominating_set,
-    check_uniformity,
     generate,
     mds_size,
     neighborhood,
-    validate_nominations,
     verify_domination,
 )
 from localmds.nomination import ALPHA, K_UNIFORM, best_local_set
+from reference import check_uniformity, validate_nominations
 
 
 class TestAlgorithmAExamples:

@@ -23,7 +23,6 @@ from localmds import (
     mds_size,
     minimum_dominating_set,
     ranked_form,
-    run_by_messages,
     run_by_views,
     t_error_set,
 )
@@ -37,6 +36,7 @@ from reference import (
     exhaustive_mds_size,
     networkx_is_planar,
     ranked_edges,
+    run_by_messages,
     strictly_dominated_by_pairs,
 )
 

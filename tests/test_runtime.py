@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cycle, grid, path, random_graph
-from reference import item_width
+from reference import item_width, run_by_messages
 import localmds
 from localmds import composition, nomination, runtime
 from localmds import (
@@ -19,7 +19,6 @@ from localmds import (
     algorithm_a,
     ball,
     generate,
-    run_by_messages,
     run_by_views,
     t_error_set,
 )
